@@ -61,7 +61,8 @@ def main() -> int:
 
     print("\n== Levinson sum rule (light fermion, M = 2.15e-5) ==")
     light = SolitonBackground(M=2.15e-5, K=2.15e-5, beta=1.0)
-    rep = levinson_check(light, k_min=1e-3 * light.M, k_max=50 * light.M)
+    rep = levinson_check(light, find_bound_states(light), k_min=1e-3 * light.M,
+                         k_max=50 * light.M)
     jump = rep.delta_at_zero - rep.delta_at_infinity
     print(f"  delta(0+) - delta(k_max) = {jump / math.pi:.5f} pi "
           f"(expected {rep.n_b - 0.5:.1f} pi, n_b = {rep.n_b})")

@@ -1,7 +1,7 @@
 """kinkdirac: Dirac fermion scattering and bound states on a sine-Gordon kink.
 
 The pipeline evaluates local Heun functions (series + analytic continuation),
-builds the four local spinor solutions of the kink-background Dirac equation,
+builds the local spinor solutions of the kink-background Dirac equation,
 matches them across the kink via Wronskians, and extracts transmission/
 reflection amplitudes, phase shifts, and bound-state energies.  An independent
 direct-integration oracle validates every step.
@@ -36,7 +36,6 @@ from .oracle import (
     integrate_heun,
     integrate_u,
     oracle_scattering,
-    reconstruct_v,
     residuals,
 )
 from .scattering import (
@@ -45,13 +44,11 @@ from .scattering import (
     matched_u,
     matched_uv,
     matching_basis,
-    phase_shift,
     unwrap_sweep,
     wronskian,
 )
 from .soliton import (
     Family,
-    FrameExponents,
     LocalSolution,
     SolitonBackground,
     SpectralPoint,
@@ -62,7 +59,6 @@ from .soliton import (
     map_to_z,
     topological_charge,
     v_from_u,
-    v_from_u_zform,
 )
 from .spectrum import (
     BoundState,
@@ -73,58 +69,3 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundState",
-    "ContinuationPath",
-    "ConvergenceError",
-    "DegenerateBasisError",
-    "DegenerateGammaError",
-    "DomainError",
-    "Family",
-    "FitError",
-    "FrameExponents",
-    "HeunParams",
-    "IntegrationConfig",
-    "KinkDiracError",
-    "LevinsonReport",
-    "LocalSolution",
-    "PathError",
-    "ResidualReport",
-    "ScatteringData",
-    "SeriesState",
-    "SolitonBackground",
-    "SpectralPoint",
-    "StepFailure",
-    "Trajectory",
-    "build_solution",
-    "c1_bound_indicator",
-    "eval_u",
-    "eval_v",
-    "extract_scattering",
-    "find_bound_states",
-    "heun_continue",
-    "heun_eval",
-    "heun_second_solution",
-    "heun_series",
-    "integrate_heun",
-    "integrate_u",
-    "kink_profile",
-    "levinson_check",
-    "map_to_z",
-    "match_coefficients",
-    "matched_u",
-    "matched_uv",
-    "matching_basis",
-    "oracle_scattering",
-    "phase_shift",
-    "reconstruct_v",
-    "recurrence_coeffs",
-    "residuals",
-    "second_solution_params",
-    "topological_charge",
-    "unwrap_sweep",
-    "v_from_u",
-    "v_from_u_zform",
-    "wronskian",
-]

@@ -19,21 +19,24 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import sys
 from dataclasses import asdict, dataclass
 
 from .errors import KinkDiracError
-from .heun import HeunParams, heun_eval, heun_second_solution, heun_series
-from .oracle import integrate_heun, oracle_scattering, reconstruct_v, residuals
+from .heun import HeunParams, heun_eval, heun_second_solution, heun_series, recurrence_coeffs
+from .oracle import integrate_heun, oracle_scattering, residuals
 from .scattering import match_coefficients, matched_u, matching_basis, unwrap_sweep
 from .soliton import (
+    Family,
     SolitonBackground,
     SpectralPoint,
+    build_solution,
     eval_u,
     kink_profile,
     v_from_u,
 )
-from .spectrum import find_bound_states, levinson_check
+from .spectrum import c1_bound_indicator, find_bound_states, levinson_check
 
 
 @dataclass
@@ -53,7 +56,6 @@ class RunConfig:
     tol_root: float
     output_format: str
     output_path: str | None
-    seed: int
     degrees: bool
 
     def __post_init__(self):
@@ -84,8 +86,6 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".17g")
-    if isinstance(v, int):
-        return str(v)
     return str(v)
 
 
@@ -201,7 +201,7 @@ def _k_grid(cfg: RunConfig):
 
 def cmd_phase_sweep(cfg: RunConfig) -> int:
     bg = cfg.background
-    ks, deltas, data = unwrap_sweep(bg, _k_grid(cfg), cfg.eval_tol)
+    ks, deltas, data = unwrap_sweep(bg, _k_grid(cfg), cfg.eval_tol, cfg.E_branch)
     records = []
     for k, delta in zip(ks, deltas):
         d = data[k]
@@ -222,10 +222,9 @@ def cmd_phase_sweep(cfg: RunConfig) -> int:
 
 def cmd_bound_states(cfg: RunConfig) -> int:
     bg = cfg.background
-    states = find_bound_states(bg, grid_points=512, tol_root=cfg.tol_root, tol=cfg.eval_tol)
+    states = find_bound_states(bg, tol_root=cfg.tol_root, tol=cfg.eval_tol)
     report = levinson_check(
-        bg, cfg.k_min, cfg.k_max,
-        samples=min(cfg.samples, 48), tol=cfg.eval_tol, grid_points=256,
+        bg, states, cfg.k_min, cfg.k_max, samples=min(cfg.samples, 48), tol=cfg.eval_tol,
     )
     records = [
         {"index": b.index, "E": b.E_n, "kappa": b.kappa, "residual": b.residual}
@@ -246,16 +245,6 @@ def cmd_bound_states(cfg: RunConfig) -> int:
     return 0
 
 
-def _ur1_params(cfg: RunConfig) -> HeunParams:
-    bg = cfg.background
-    sp = SpectralPoint.scattering(bg, cfg.k, cfg.E_branch)
-    kk = sp.k / bg.K
-    return HeunParams(
-        a=0.5, q=1j * (sp.E + sp.k) / bg.K, alpha=-1, beta=0,
-        gamma=1 - 1j * kk, delta=1 + 1j * kk,
-    )
-
-
 def cmd_validate(cfg: RunConfig) -> int:
     bg = cfg.background
     sp = SpectralPoint.scattering(bg, cfg.k, cfg.E_branch)
@@ -268,7 +257,7 @@ def cmd_validate(cfg: RunConfig) -> int:
              "passed": bool(value <= tolerance)}
         )
 
-    params = _ur1_params(cfg)
+    params = build_solution(Family.U1_FIRST, bg, sp).params
     # Series normalization and slope at z = 0.
     v0, d0, _ = heun_series(params, 0.0, tol)
     add("series_normalization", abs(v0 - 1.0), cfg.tol_series)
@@ -276,8 +265,6 @@ def cmd_validate(cfg: RunConfig) -> int:
     add("series_slope", abs(d0 - slope) / abs(slope), cfg.tol_series)
     # Recurrence residual of the stored coefficients at a generic point.
     _, _, state = heun_series(params, 0.2, tol)
-    from .heun import recurrence_coeffs  # local import avoids a cycle at module load
-
     worst = 0.0
     h = state.coefficients
     for n in range(1, len(h) - 1):
@@ -318,17 +305,12 @@ def cmd_validate(cfg: RunConfig) -> int:
     xs = [-half_x + 2.0 * half_x * i / (n_pts - 1) for i in range(n_pts)]
     pairs = [matched_u(data, sols, x, tol) for x in xs]
     us = [p[0] for p in pairs]
-    dus = [p[1] for p in pairs]
-    vs = reconstruct_v(xs, us, dus, bg, sp)
+    vs = [v_from_u(u, du, bg, sp, x) for (u, du), x in zip(pairs, xs)]
     rep = residuals(xs, us, vs, bg, sp)
     add("governing_residuals", rep.max_rel_residual, 1e-6)
     # Bound-state root residuals (scale-free).
     states = find_bound_states(bg, grid_points=128, tol_root=cfg.tol_root, tol=tol)
     if states:
-        import statistics
-
-        from .spectrum import c1_bound_indicator  # noqa: F401  (documented entry point)
-
         grid = [(-0.9 + 1.8 * i / 31) * bg.M for i in range(32)]
         med = statistics.median(abs(c1_bound_indicator(bg, E, tol)) for E in grid)
         add("bound_root_residual", max(b.residual for b in states) / med, cfg.tol_root)
@@ -390,7 +372,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--tol-root", type=float, default=1e-6)
     sp.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
     sp.add_argument("--out", default=None, dest="output_path", help="output path (default stdout)")
-    sp.add_argument("--seed", type=int, default=0, help="seed echoed into the config (reproducibility)")
     sp.add_argument("--degrees", action="store_true", help="report phase shifts in degrees")
 
 
@@ -442,7 +423,6 @@ def _resolve_config(args) -> RunConfig:
         tol_root=args.tol_root,
         output_format=args.output_format,
         output_path=args.output_path,
-        seed=args.seed,
         degrees=args.degrees,
     )
 

@@ -134,7 +134,6 @@ def heun_series(params: HeunParams, z: complex, tol: float = 1e-14):
         )
     _check_series_gamma(params)
 
-    a, al, be, ga = params.a, params.alpha, params.beta, params.gamma
     coeffs = [1.0 + 0j]
     h_prev, h_cur = 0j, 1.0 + 0j
     value = 1.0 + 0j
@@ -142,12 +141,13 @@ def heun_series(params: HeunParams, z: complex, tol: float = 1e-14):
     zn = 1.0 + 0j  # z**n
     streak = 0
     truncated = False
+    # R_{n-1}, R_n and P_n carried forward; each term needs one new call.
+    R_prev = 0j
+    R_n, P_n, _ = recurrence_coeffs(params, 0)
     for n in range(N_MAX_SERIES):
-        R_prev = (n - 1 + al) * (n - 1 + be) if n >= 1 else 0j
-        _, P_n, _ = recurrence_coeffs(params, n)
-        Q_next = a * (n + 1) * (n + ga)
+        R_next, P_next, Q_next = recurrence_coeffs(params, n + 1)
         h_next = -(R_prev * h_prev + P_n * h_cur) / Q_next
-        if (n + al) * (n + be) == 0 and abs(h_next) < 1e-12 * max(
+        if R_n == 0 and abs(h_next) < 1e-12 * max(
             abs(h_cur), abs(h_prev), 1e-300
         ):
             # Polynomial case: h_{n+1} = 0 (to rounding) with alpha or beta = -n
@@ -166,6 +166,7 @@ def heun_series(params: HeunParams, z: complex, tol: float = 1e-14):
         else:
             streak = 0
         h_prev, h_cur = h_cur, h_next
+        R_prev, R_n, P_n = R_n, R_next, P_next
     raise ConvergenceError(
         f"Heun series did not converge within {N_MAX_SERIES} terms at z = {z}"
     )
@@ -201,15 +202,12 @@ def check_gamma_nondegenerate(params: HeunParams, threshold: float = GAMMA_INTEG
         )
 
 
-def heun_second_solution(
-    params: HeunParams, z: complex, tol: float = 1e-14,
-    gamma_threshold: float = GAMMA_INTEGER_TOL,
-):
+def heun_second_solution(params: HeunParams, z: complex, tol: float = 1e-14):
     """Second local solution z^(1-gamma) Hl[shifted](z) and its derivative."""
     z = complex(z)
     if z == 0:
         raise DomainError("second solution is singular (fractional power) at z = 0")
-    check_gamma_nondegenerate(params, gamma_threshold)
+    check_gamma_nondegenerate(params)
     shifted = second_solution_params(params)
     h, dh, _ = heun_series(shifted, z, tol)
     power = 1 - params.gamma

@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import FitError, StepFailure
 from .heun import HeunParams
-from .soliton import SolitonBackground, SpectralPoint, ansatz_phase, ratio_squared
+from .soliton import SolitonBackground, SpectralPoint, ansatz_phase
 
 # Asymptotic fit window in the scaled coordinate s = 2Kx: sech(s) < 1e-10 there.
 TAIL_WINDOW = (25.0, 35.0)
@@ -37,7 +37,6 @@ class IntegrationConfig:
     x_end: float
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
-    max_step: float = math.inf
 
     def __post_init__(self):
         if self.x_start == self.x_end:
@@ -100,7 +99,6 @@ def integrate_u(
         method="DOP853",
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
-        max_step=cfg.max_step,
         t_eval=t_eval,
         dense_output=False,
     )
@@ -299,10 +297,3 @@ def residuals(x, u, v, bg: SolitonBackground, sp: SpectralPoint) -> ResidualRepo
         max_rel_residual=float(rel[worst]), worst_x=float(xi[worst]), samples=len(xi)
     )
 
-
-def reconstruct_v(x, u, du, bg: SolitonBackground, sp: SpectralPoint) -> np.ndarray:
-    """v on a grid from (u, u') via the algebraic relation (vectorized helper)."""
-    out = np.empty(len(x), dtype=complex)
-    for i, xx in enumerate(x):
-        out[i] = (1j / bg.M) * ratio_squared(bg, xx) * (sp.E * u[i] - 1j * du[i])
-    return out

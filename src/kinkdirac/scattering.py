@@ -103,7 +103,7 @@ def match_coefficients(
     if abs(w_den) < basis_threshold * scale:
         raise DegenerateBasisError(
             f"|W(u2_first, u2_second)| = {abs(w_den):.3g} is below "
-            f"{BASIS_THRESHOLD:.0e} of the solution scale {scale:.3g} (k too close to 0?)"
+            f"{basis_threshold:.0e} of the solution scale {scale:.3g} (k too close to 0?)"
         )
     c1 = wronskian(p1, p2b) / w_den
     c2 = -wronskian(p1, p2) / w_den
@@ -112,17 +112,6 @@ def match_coefficients(
     r = cmath.sqrt((sp.E - sp.k) / (sp.E + sp.k)) * (c2 / c1) * cmath.exp(-half * sp.k)
     delta = -cmath.phase(c1)
     return ScatteringData(c1=c1, c2=c2, t=t, r=r, delta=delta, x0=x0)
-
-
-def phase_shift(bg: SolitonBackground, k: float, tol: float = 1e-13):
-    """(delta_u, delta_v) at momentum k on the positive-energy branch.
-
-    Both equal -arg c1 (principal value); the upper and lower spinor
-    components acquire identical phase shifts.
-    """
-    sp = SpectralPoint.scattering(bg, k, "positive")
-    data = match_coefficients(bg, sp, 0.0, tol)
-    return data.delta, data.delta
 
 
 def matched_u(
@@ -160,32 +149,36 @@ def matched_uv(
 # ---------------------------------------------------------------------------
 
 
+# Refine the sweep grid where adjacent raw phases jump by at least pi/2, adding
+# at most this many extra momenta per sweep.
+MAX_REFINE = 400
+
+
 def _wrap(angle: float) -> float:
     """Map an angle difference into (-pi, pi]."""
     return -((-angle + math.pi) % (2.0 * math.pi) - math.pi)
 
 
-def unwrap_sweep(
-    bg: SolitonBackground,
-    ks,
-    tol: float = 1e-13,
-    refine: bool = True,
-    max_refine: int = 400,
-):
-    """Compute ScatteringData over a k-grid with continuously unwrapped delta.
+def unwrap_sweep(bg: SolitonBackground, ks, tol: float = 1e-13, branch: str = "positive"):
+    """Compute ScatteringData over a k-grid on one energy branch, with
+    continuously unwrapped delta.
 
-    The branch is anchored at the largest k (where delta is nearest 0, the
+    The phase branch is anchored at the largest k (where delta is nearest 0, the
     Levinson reference) and propagated downward by nearest-branch selection.
     Where adjacent raw phases still jump by >= pi/2 the grid is refined (the
     extra samples steer the unwrapping but are dropped from the output).
 
     Returns (requested_ks, unwrapped_deltas, data_by_k).
     """
+
+    def match(k: float) -> ScatteringData:
+        return match_coefficients(bg, SpectralPoint.scattering(bg, k, branch), 0.0, tol)
+
     requested = sorted(set(float(k) for k in ks))
     grid = list(requested)
-    data = {k: match_coefficients(bg, SpectralPoint.scattering(bg, k), 0.0, tol) for k in grid}
-    budget = max_refine
-    while refine and budget > 0:
+    data = {k: match(k) for k in grid}
+    budget = MAX_REFINE
+    while budget > 0:
         inserted = False
         i = 0
         while i < len(grid) - 1 and budget > 0:
@@ -193,7 +186,7 @@ def unwrap_sweep(
             if abs(d) >= math.pi / 2:
                 mid = math.sqrt(grid[i] * grid[i + 1])
                 if mid not in data and grid[i + 1] - grid[i] > 1e-12 * grid[i + 1]:
-                    data[mid] = match_coefficients(bg, SpectralPoint.scattering(bg, mid), 0.0, tol)
+                    data[mid] = match(mid)
                     grid.insert(i + 1, mid)
                     inserted = True
                     budget -= 1

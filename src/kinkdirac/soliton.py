@@ -1,4 +1,4 @@
-"""Kink background and the four local Dirac spinor solutions.
+"""Kink background and the local Dirac spinor solutions.
 
 The background is the sine-Gordon kink phi(x) = -(2/beta) arctan(e^{2Kx}) with
 K = +M (kink) or K = -M (antikink).  The upper spinor component u obeys
@@ -24,7 +24,6 @@ from enum import Enum
 
 from .errors import DomainError
 from .heun import (
-    GAMMA_INTEGER_TOL,
     HeunParams,
     check_gamma_nondegenerate,
     heun_eval,
@@ -35,20 +34,15 @@ HALF = 0.5 + 0j  # the third Heun singularity for this background
 
 
 class Family(Enum):
-    """The four local spinor building blocks."""
+    """The three local spinor building blocks of the Wronskian match."""
 
     U1_FIRST = "u1_first"    # transmitted wave, analytic about z1 = 0 (x -> +inf side)
-    U1_SECOND = "u1_second"  # second solution of the U1 local problem
     U2_FIRST = "u2_first"    # incident wave, analytic about z2 = 0 (x -> -inf side)
     U2_SECOND = "u2_second"  # reflected wave, second solution of the U2 problem
 
     @property
     def is_u1(self) -> bool:
-        return self in (Family.U1_FIRST, Family.U1_SECOND)
-
-    @property
-    def is_second(self) -> bool:
-        return self in (Family.U1_SECOND, Family.U2_SECOND)
+        return self is Family.U1_FIRST
 
 
 @dataclass(frozen=True)
@@ -121,31 +115,15 @@ class SpectralPoint:
 
 
 @dataclass(frozen=True)
-class FrameExponents:
-    """Powers (mu, nu, sigma) of the gauge prefactor z^mu (z-1)^nu (z-a)^sigma."""
-
-    mu: complex
-    nu: complex
-    sigma: complex = 0j
-
-    def __post_init__(self):
-        if self.sigma != 0:
-            raise DomainError("only sigma = 0 solutions are in scope")
-        if self.mu != -self.nu:
-            raise DomainError("frame exponents must satisfy mu = -nu")
-
-
-@dataclass(frozen=True)
 class LocalSolution:
     """One local spinor building block: Heun parameters plus x-space prefactor.
 
     The prefactor is amp * e^{ikx} * z^{z_power}; z_power = 0 for the first
-    solutions and 1 - gamma(base) for the second ones.
+    solutions and 1 - gamma(base) for U2_SECOND.
     """
 
     family: Family
     params: HeunParams
-    exponents: FrameExponents
     background: SolitonBackground
     spectral: SpectralPoint
     amp: complex
@@ -250,23 +228,25 @@ def _base_params(family: Family, bg: SolitonBackground, sp: SpectralPoint) -> He
 
 
 def build_solution(family: Family, bg: SolitonBackground, sp: SpectralPoint) -> LocalSolution:
-    """Assemble the LocalSolution for one of the four families."""
+    """Assemble the LocalSolution for one of the three families."""
     sp.check_dispersion(bg)
     base = _base_params(family, bg, sp)
-    kk = sp.k / bg.K
-    mu = 1j * kk / 2
-    exps = FrameExponents(mu=mu, nu=-mu, sigma=0j)
     quarter = math.pi * sp.k / (4.0 * bg.K)
-    amp = cmath.exp(quarter) if family.is_u1 else cmath.exp(-quarter)
-    if family.is_second:
-        check_gamma_nondegenerate(base, GAMMA_INTEGER_TOL)
+    try:
+        amp = cmath.exp(quarter) if family.is_u1 else cmath.exp(-quarter)
+    except OverflowError:
+        raise DomainError(
+            f"build_solution: gauge factor e^(+-pi k/4K) overflows at k/M = {abs(sp.k) / bg.M:.6g}"
+        ) from None
+    if family is Family.U2_SECOND:
+        check_gamma_nondegenerate(base)
         params = second_solution_params(base)
-        z_power = 1 - base.gamma  # +i k/K for U1, -i k/K for U2
+        z_power = 1 - base.gamma  # -i k/K
     else:
         params = base
         z_power = 0j
     return LocalSolution(
-        family=family, params=params, exponents=exps,
+        family=family, params=params,
         background=bg, spectral=sp, amp=amp, z_power=z_power,
     )
 
@@ -293,13 +273,6 @@ def eval_u(sol: LocalSolution, x: float, tol: float = 1e-13):
 def v_from_u(u: complex, du: complex, bg: SolitonBackground, sp: SpectralPoint, x: float) -> complex:
     """Lower component from (u, u'): v = (i/M) ratio^2 (E u - i u')."""
     return (1j / bg.M) * ratio_squared(bg, x) * (sp.E * u - 1j * du)
-
-
-def v_from_u_zform(u: complex, du: complex, bg: SolitonBackground, sp: SpectralPoint, z: complex) -> complex:
-    """Same quantity through the Heun variable: ratio^2 = 1/(4 (z - 1/2)^2)
-    for either family's map, giving v = (i / (4 M (z - 1/2)^2)) (E u - i u')."""
-    w = z - HALF
-    return (1j / (4.0 * bg.M * w * w)) * (sp.E * u - 1j * du)
 
 
 def eval_v(sol: LocalSolution, x: float, tol: float = 1e-13) -> complex:

@@ -174,13 +174,14 @@ def find_bound_states(
 
 def levinson_check(
     bg: SolitonBackground,
+    bound: list[BoundState],
     k_min: float,
     k_max: float,
     samples: int = 48,
     tol: float = 1e-13,
-    grid_points: int = 256,
 ) -> LevinsonReport:
-    """Phase-shift sweep plus bound-state count, checked against Levinson's theorem.
+    """Phase-shift sweep checked against Levinson's theorem for the given
+    bound states (as returned by find_bound_states).
 
     delta(0) is Richardson-extrapolated from the three smallest momenta
     {k_min, 2 k_min, 4 k_min} (the matching basis degenerates at k = 0);
@@ -202,7 +203,6 @@ def levinson_check(
     d1, d2, d4 = by_k[k_min], by_k[2.0 * k_min], by_k[4.0 * k_min]
     delta0 = (8.0 * d1 - 6.0 * d2 + d4) / 3.0
     delta_inf = by_k[max(grid)]
-    bound = find_bound_states(bg, grid_points=grid_points, tol=tol)
     n_b = sum(1 for b in bound if b.E_n > 0.01 * bg.M)
     discrepancy = abs((delta0 - delta_inf) - math.pi * (n_b - 0.5))
     return LevinsonReport(

@@ -28,8 +28,8 @@ from kinkdirac import (
     matched_uv,
     matching_basis,
     oracle_scattering,
-    reconstruct_v,
     residuals,
+    v_from_u,
 )
 from kinkdirac.cli import main as cli_main
 
@@ -150,7 +150,7 @@ def test_criterion_5_governing_residuals(bg5, sp25):
     dus = np.empty(401, dtype=complex)
     for i, x in enumerate(xs):
         us[i], dus[i], _ = matched_uv(bg5, sp25, data, sols, x)
-    vs = reconstruct_v(xs, us, dus, bg5, sp25)
+    vs = [v_from_u(u, du, bg5, sp25, x) for u, du, x in zip(us, dus, xs)]
     report = residuals(xs, us, vs, bg5, sp25)
     elapsed = time.perf_counter() - t0
     ok = report.max_rel_residual <= 1e-6 and elapsed < 5.0
@@ -196,7 +196,7 @@ def test_criterion_7_bound_states(bg5):
 def test_criterion_8_levinson():
     t0 = time.perf_counter()
     bg = SolitonBackground(M=2.15e-5, K=2.15e-5, beta=1.0)
-    report = levinson_check(bg, k_min=1e-3 * bg.M, k_max=50 * bg.M)
+    report = levinson_check(bg, find_bound_states(bg), k_min=1e-3 * bg.M, k_max=50 * bg.M)
     jump = report.delta_at_zero - report.delta_at_infinity
     elapsed = time.perf_counter() - t0
     ok = (abs(jump - math.pi / 2) <= 0.05 * math.pi

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from kinkdirac import SolitonBackground, SpectralPoint, match_coefficients
 from kinkdirac.cli import main
 
 
@@ -120,10 +121,26 @@ def test_phase_sweep_continuous_and_unitary(tmp_path):
 
 def test_phase_sweep_deterministic(tmp_path):
     argv = ["phase-sweep", "--M", "5", "--k-min", "0.25", "--k-max", "50",
-            "--samples", "16", "--seed", "7"]
+            "--samples", "16"]
     _, _, _, text1 = run_csv(argv, tmp_path, "a.csv")
     _, _, _, text2 = run_csv(argv, tmp_path, "b.csv")
     assert text1 == text2
+
+
+def test_phase_sweep_negative_branch(tmp_path):
+    # Every row must carry the negative-branch c1, T and R next to its E < 0.
+    code, rows, _, _ = run_csv(
+        ["phase-sweep", "--M", "5", "--E-branch", "negative", "--k-min", "2.5",
+         "--k-max", "50", "--samples", "4"], tmp_path
+    )
+    assert code == 0
+    bg = SolitonBackground(M=5.0, K=5.0)
+    for r in rows:
+        ref = match_coefficients(bg, SpectralPoint.scattering(bg, float(r["k"]), "negative"))
+        assert float(r["E"]) < 0
+        assert float(r["re_c1"]) + 1j * float(r["im_c1"]) == ref.c1
+        assert float(r["T"]) == ref.T
+    assert float(rows[0]["T"]) == pytest.approx(0.0045010843, abs=1e-10)
 
 
 def test_phase_sweep_degrees(tmp_path):
@@ -216,3 +233,11 @@ def test_numerical_failure_exits_3(tmp_path):
     # a usage error.
     assert main(["scatter", "--M", "5", "--k", "0", "--out",
                  str(tmp_path / "x.csv")]) == 3
+
+
+def test_overflowing_momentum_exits_3(tmp_path, capsys):
+    # e^(pi k/4K) overflows a double at k/M = 1000: a typed numerical failure.
+    assert main(["scatter", "--M", "1", "--k", "1000", "--out",
+                 str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "build_solution" in err and "k/M = 1000" in err

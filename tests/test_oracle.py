@@ -18,7 +18,6 @@ from kinkdirac import (
     matched_uv,
     matching_basis,
     oracle_scattering,
-    reconstruct_v,
     residuals,
 )
 from kinkdirac.oracle import TAIL_WINDOW, Trajectory, _fit_tail
@@ -126,10 +125,10 @@ def test_bound_state_decay_both_directions(bg5):
 # ---------------------------------------------------------------------------
 
 
-def _matched_grid(bg, sp, n, span=(-2.0, 2.0)):
+def _matched_grid(bg, sp, n):
     data = match_coefficients(bg, sp)
     sols = matching_basis(bg, sp)
-    xs = np.linspace(span[0], span[1], n)
+    xs = np.linspace(-2.0, 2.0, n)
     u = np.empty(n, dtype=complex)
     v = np.empty(n, dtype=complex)
     du = np.empty(n, dtype=complex)
@@ -157,9 +156,3 @@ def test_residuals_converge_under_grid_refinement(bg5, sp25):
     r1 = residuals(xs1, u1, v1, bg5, sp25).max_rel_residual
     r2 = residuals(xs2, u2, v2, bg5, sp25).max_rel_residual
     assert r2 < 2.0 * r1  # stencil truncation error must not grow on refinement
-
-
-def test_reconstruct_v_matches_pointwise(bg5, sp25):
-    xs, u, du, v = _matched_grid(bg5, sp25, 41, span=(-1.0, 1.0))
-    v2 = reconstruct_v(xs, u, du, bg5, sp25)
-    assert np.max(np.abs(v2 - v)) <= 1e-10 * np.max(np.abs(v))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kinkdirac import (
+    DegenerateBasisError,
     Family,
     KinkDiracError,
     SolitonBackground,
@@ -18,7 +19,6 @@ from kinkdirac import (
     matched_u,
     matched_uv,
     matching_basis,
-    phase_shift,
     unwrap_sweep,
     wronskian,
 )
@@ -118,15 +118,19 @@ def test_transmission_grows_with_k(bg5):
 
 def test_phase_shift_definition(bg5, sp25):
     data = match_coefficients(bg5, sp25)
-    d_u, d_v = phase_shift(bg5, 2.5)
-    assert d_u == pytest.approx(-cmath.phase(data.c1), abs=1e-15)
-    assert d_u == d_v  # upper and lower spinor components share the phase shift
+    assert data.delta == pytest.approx(-cmath.phase(data.c1), abs=1e-15)
 
 
 def test_tiny_k_raises(bg5):
     sp = SpectralPoint.scattering(bg5, 1e-18)
     with pytest.raises(KinkDiracError):
         match_coefficients(bg5, sp)
+
+
+def test_degenerate_basis_message_names_threshold_used(bg5):
+    sp = SpectralPoint.scattering(bg5, 1e-4)
+    with pytest.raises(DegenerateBasisError, match="below 1e-03 of the solution scale"):
+        match_coefficients(bg5, sp, basis_threshold=1e-3)
 
 
 # ---------------------------------------------------------------------------

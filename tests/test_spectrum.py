@@ -96,7 +96,7 @@ def test_indicator_linear_near_zero_mode(bg5):
 
 
 def test_levinson_sum_rule(bg5):
-    report = levinson_check(bg5, k_min=1e-3 * bg5.M, k_max=50 * bg5.M)
+    report = levinson_check(bg5, find_bound_states(bg5), k_min=1e-3 * bg5.M, k_max=50 * bg5.M)
     assert report.n_b == 1  # strictly positive-energy states only
     jump = report.delta_at_zero - report.delta_at_infinity
     assert abs(jump - math.pi * (report.n_b - 0.5)) < 0.05 * math.pi
@@ -105,6 +105,6 @@ def test_levinson_sum_rule(bg5):
 
 def test_levinson_light_fermion():
     bg = SolitonBackground(M=2.15e-5, K=2.15e-5, beta=1.0)
-    report = levinson_check(bg, k_min=1e-3 * bg.M, k_max=50 * bg.M)
+    report = levinson_check(bg, find_bound_states(bg), k_min=1e-3 * bg.M, k_max=50 * bg.M)
     jump = report.delta_at_zero - report.delta_at_infinity
     assert abs(jump - math.pi / 2) < 0.05 * math.pi
