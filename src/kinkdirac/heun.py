@@ -39,7 +39,7 @@ STEP_FRACTION = 0.5
 # Required clearance of a default continuation path from {0, 1, a} (absolute,
 # reduced adaptively when the target itself sits close to a singularity).
 MIN_CLEARANCE = 0.1
-# |gamma - nearest integer| below this means the logarithmic (degenerate) case.
+# |gamma - nearest integer| below this counts as that integer (degenerate case).
 GAMMA_INTEGER_TOL = 1e-13
 
 _TINY = 1e-300
@@ -107,14 +107,22 @@ def recurrence_coeffs(params: HeunParams, n: int) -> tuple[complex, complex, com
     return R, P, Q
 
 
-def _check_series_gamma(params: HeunParams) -> None:
-    """The recurrence divides by Q_{n+1} = a (n+1)(n+gamma); gamma at a
-    non-positive integer makes some Q vanish."""
+def check_gamma_nondegenerate(params: HeunParams, second: bool = False) -> None:
+    """Raise DegenerateGammaError where gamma makes the requested solution
+    degenerate.
+
+    The series recurrence divides by Q_{n+1} = a (n+1)(n+gamma), so gamma at a
+    non-positive integer makes some Q vanish.  The second solution
+    z^(1-gamma) Hl[shifted] coincides with the first at gamma = 1 (equal
+    exponents, the logarithmic case); its other integer gammas are left to
+    the shifted series' own check.
+    """
     g = params.gamma
     nearest = round(g.real)
-    if nearest <= 0 and abs(g - nearest) < GAMMA_INTEGER_TOL:
+    if (nearest == 1 if second else nearest <= 0) and abs(g - nearest) < GAMMA_INTEGER_TOL:
+        stage = "heun_second_solution" if second else "heun_series"
         raise DegenerateGammaError(
-            f"gamma = {g} is within {GAMMA_INTEGER_TOL} of the non-positive integer {nearest}"
+            f"{stage}: gamma = {g} is within {GAMMA_INTEGER_TOL} of the degenerate value {nearest}"
         )
 
 
@@ -132,7 +140,7 @@ def heun_series(params: HeunParams, z: complex, tol: float = 1e-14):
         raise DomainError(
             f"|z| = {abs(z):.6g} exceeds {DISK_MARGIN} * min(|a|, 1) = {DISK_MARGIN * rad:.6g}"
         )
-    _check_series_gamma(params)
+    check_gamma_nondegenerate(params)
 
     coeffs = [1.0 + 0j]
     h_prev, h_cur = 0j, 1.0 + 0j
@@ -191,23 +199,12 @@ def second_solution_params(params: HeunParams) -> HeunParams:
     )
 
 
-def check_gamma_nondegenerate(params: HeunParams, threshold: float = GAMMA_INTEGER_TOL) -> None:
-    """Raise DegenerateGammaError when gamma sits within threshold of any integer."""
-    g = params.gamma
-    nearest = round(g.real)
-    if abs(g - nearest) < threshold:
-        raise DegenerateGammaError(
-            f"gamma = {g} is within {threshold} of the integer {nearest}; "
-            "the second solution is logarithmic (out of scope)"
-        )
-
-
 def heun_second_solution(params: HeunParams, z: complex, tol: float = 1e-14):
     """Second local solution z^(1-gamma) Hl[shifted](z) and its derivative."""
     z = complex(z)
     if z == 0:
         raise DomainError("second solution is singular (fractional power) at z = 0")
-    check_gamma_nondegenerate(params)
+    check_gamma_nondegenerate(params, second=True)
     shifted = second_solution_params(params)
     h, dh, _ = heun_series(shifted, z, tol)
     power = 1 - params.gamma

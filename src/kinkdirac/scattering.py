@@ -84,15 +84,14 @@ def match_coefficients(
     sp: SpectralPoint,
     x0: float = 0.0,
     tol: float = 1e-13,
-    basis_threshold: float = BASIS_THRESHOLD,
 ) -> ScatteringData:
     """Match u1 against the u2 basis at x0 and return the scattering data.
 
     Works for real k (scattering) and for the bound continuation k = i kappa;
-    t, r, delta are only physically meaningful for real k.  The bound-state
-    root search lowers basis_threshold: near the zero mode the u2 basis is
-    almost dependent, yet c1 retains enough relative accuracy to localize
-    the root far below the default guard.
+    t, r, delta are only physically meaningful for real k.  The denominator
+    W(u2_first, u2_second) is taken numerically, not from its closed form
+    (spectrum.c1_bound_indicator): its rounding errors cancel against the
+    numerator's in c1 and c2, which keeps unitarity at large k/M.
     """
     sol1, sol2, sol2b = matching_basis(bg, sp)
     p1 = eval_u(sol1, x0, tol)
@@ -100,10 +99,10 @@ def match_coefficients(
     p2b = eval_u(sol2b, x0, tol)
     w_den = wronskian(p2, p2b)
     scale = abs(p2[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p2[1])
-    if abs(w_den) < basis_threshold * scale:
+    if abs(w_den) < BASIS_THRESHOLD * scale:
         raise DegenerateBasisError(
             f"|W(u2_first, u2_second)| = {abs(w_den):.3g} is below "
-            f"{basis_threshold:.0e} of the solution scale {scale:.3g} (k too close to 0?)"
+            f"{BASIS_THRESHOLD:.0e} of the solution scale {scale:.3g} (k too close to 0?)"
         )
     c1 = wronskian(p1, p2b) / w_den
     c2 = -wronskian(p1, p2) / w_den

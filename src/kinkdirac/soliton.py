@@ -239,7 +239,7 @@ def build_solution(family: Family, bg: SolitonBackground, sp: SpectralPoint) -> 
             f"build_solution: gauge factor e^(+-pi k/4K) overflows at k/M = {abs(sp.k) / bg.M:.6g}"
         ) from None
     if family is Family.U2_SECOND:
-        check_gamma_nondegenerate(base)
+        check_gamma_nondegenerate(base, second=True)
         params = second_solution_params(base)
         z_power = 1 - base.gamma  # -i k/K
     else:

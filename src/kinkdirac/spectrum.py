@@ -2,35 +2,54 @@
 
 Bound energies are the real zeros of c1(E, i kappa) with kappa = sqrt(M^2-E^2):
 at a zero the transmitted-frame solution loses its growing component on the
-incident side and decays in both tails.  Levinson's theorem ties the phase
-shift at threshold to the number of strictly bound states in the channel,
+incident side and decays in both tails.  Two identities make them plain sign
+changes of one real function of E:
+
+- Abel's identity fixes the matching denominator in closed form,
+  W(u2_first, u2_second)|_{x=0} = 2ik e^{-pi k/K}, so c1 needs only u1_first
+  and u2_second.  u2_first, the only factor that degenerates at E = 0 (its
+  gamma is 0 there), is never built.
+- c1(E) = e^{i pi (kappa/2M - 1)} f(E) with f real, so the roots are the sign
+  changes of f(E) = Re(c1 e^{-i pi (kappa/2M - 1)}), the zero mode included.
+
+Levinson's theorem ties the phase shift at threshold to the number of
+strictly bound states in the channel,
 
     delta(0) - delta(inf) = pi (n_b - 1/2).
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import statistics
 from dataclasses import dataclass
 
-from .errors import DegenerateGammaError, DomainError
-from .scattering import match_coefficients, unwrap_sweep
-from .soliton import SolitonBackground, SpectralPoint
+from scipy.optimize import brentq
 
-# Half-width (in units of M) of the sliver around E = 0 where gamma of the U2
-# frame degenerates numerically (gamma - 1 ~ -E^2 / 2M^2); inside it c1 is
-# treated as exactly 0, which is its continuous limit.
-DEGENERATE_SLIVER = 1e-4
+from .errors import DomainError, KinkDiracError
+from .scattering import unwrap_sweep, wronskian
+from .soliton import Family, SolitonBackground, SpectralPoint, build_solution, eval_u
+
 # Keep away from the continuum edge |E| = M where kappa -> 0.
 EDGE_MARGIN = 1e-6
-# Grid minima below this multiple of the median |c1| become root candidates.
-CANDIDATE_FACTOR = 0.25
+# Energies E/M where find_bound_states samples the sign of the real indicator:
+# (-1, 1) less a 1e-3 margin at each continuum edge.
+SCAN_POINTS = 64
+SCAN_GRID = tuple(-1.0 + 1e-3 + (2.0 - 2e-3) * i / (SCAN_POINTS - 1) for i in range(SCAN_POINTS))
+# Largest |Im(c1 e^{-i pi (kappa/2M - 1)})| accepted, relative to the scale of
+# the Wronskian's terms; above it the sign of the real part means nothing.
+IMAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class BoundState:
-    """One bound level: energy, decay constant, root residual, and index."""
+    """One bound level: energy, decay constant, root residual, and index.
+
+    residual is |c1(E_n)| over the median |c1| of the scan grid, the
+    quantity find_bound_states compares with tol_root.
+    """
 
     E_n: float
     kappa: float
@@ -48,127 +67,71 @@ class LevinsonReport:
     discrepancy: float
 
 
+def _real_phase(bg: SolitonBackground, E: float) -> complex:
+    """e^{-i pi (kappa/2M - 1)}: turns c1 at energy E into a real number."""
+    kappa = math.sqrt(bg.M * bg.M - E * E)
+    return cmath.exp(-1j * math.pi * (kappa / (2.0 * bg.M) - 1.0))
+
+
 def c1_bound_indicator(bg: SolitonBackground, E: float, tol: float = 1e-13) -> complex:
-    """c1 evaluated on the bound continuation k = i sqrt(M^2 - E^2)."""
+    """c1 on the bound continuation k = i sqrt(M^2 - E^2) sign(K).
+
+    c1 = W(u1_first, u2_second) / (2ik e^{-pi k/K}) at x0 = 0.  Raises
+    KinkDiracError when c1 is not e^{i pi (kappa/2M - 1)} times a real number
+    to IMAG_TOL of the Wronskian term scale.
+    """
     if abs(E) >= bg.M * (1.0 - EDGE_MARGIN):
         raise DomainError(
             f"|E| = {abs(E)} too close to the continuum edge M = {bg.M} (kappa -> 0)"
         )
     sp = SpectralPoint.bound(bg, E)
-    # basis_threshold=0: near E = 0 the u2 basis degenerates together with c1's
-    # zero; the Wronskian ratio stays accurate enough for root localization
-    # well below the scattering-mode guard.
-    return match_coefficients(bg, sp, 0.0, tol, basis_threshold=0.0).c1
-
-
-def _indicator_abs(bg: SolitonBackground, E: float, tol: float) -> float:
-    """|c1(E)| with the degenerate sliver around E = 0 mapped to its limit 0."""
-    if abs(E) < DEGENERATE_SLIVER * bg.M:
-        try:
-            return abs(c1_bound_indicator(bg, E, tol))
-        except DegenerateGammaError:
-            return 0.0
-    return abs(c1_bound_indicator(bg, E, tol))
-
-
-def _golden_minimize(f, lo: float, hi: float, xtol: float):
-    """Golden-section minimization; returns (x_min, f_min)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd)
-
-
-def _secant_polish(bg: SolitonBackground, E0: float, E1: float, tol: float, max_iter: int = 12):
-    """Secant iteration on the complex c1 projected onto real E.
-
-    Returns (E, |c1|) of the best iterate, or None when evaluation fails.
-    """
-    try:
-        f0 = c1_bound_indicator(bg, E0, tol)
-        f1 = c1_bound_indicator(bg, E1, tol)
-    except (DegenerateGammaError, DomainError):
-        return None
-    best = (E1, abs(f1)) if abs(f1) < abs(f0) else (E0, abs(f0))
-    for _ in range(max_iter):
-        df = f1 - f0
-        if df == 0:
-            break
-        E2 = E1 - (f1 * (E1 - E0) / df).real
-        if not math.isfinite(E2) or abs(E2) >= bg.M * (1.0 - EDGE_MARGIN):
-            break
-        try:
-            f2 = c1_bound_indicator(bg, E2, tol)
-        except (DegenerateGammaError, DomainError):
-            break
-        if abs(f2) < best[1]:
-            best = (E2, abs(f2))
-        if abs(E2 - E1) < 1e-13 * bg.M:
-            break
-        E0, f0, E1, f1 = E1, f1, E2, f2
-    return best
+    p1 = eval_u(build_solution(Family.U1_FIRST, bg, sp), 0.0, tol)
+    p2b = eval_u(build_solution(Family.U2_SECOND, bg, sp), 0.0, tol)
+    w_den = 2j * sp.k * cmath.exp(-math.pi * sp.k / bg.K)
+    c1 = wronskian(p1, p2b) / w_den
+    scale = (abs(p1[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p1[1])) / abs(w_den)
+    ratio = abs((c1 * _real_phase(bg, E)).imag) / scale
+    if ratio > IMAG_TOL:
+        raise KinkDiracError(
+            f"c1_bound_indicator: at E = {E!r} (M = {bg.M}, K = {bg.K}) the imaginary "
+            f"part of the real indicator is {ratio:.3g} of the Wronskian term scale, "
+            f"above {IMAG_TOL:.0e}"
+        )
+    return c1
 
 
 def find_bound_states(
     bg: SolitonBackground,
-    grid_points: int = 512,
     tol_root: float | None = None,
     tol: float = 1e-13,
 ) -> list[BoundState]:
-    """Scan |c1(E)| on (-M, M), refine the local minima, return accepted roots.
+    """Bound levels as the roots of c1 on (-M, M).
 
-    Acceptance is scale-free: residual |c1| below tol_root times the median
-    |c1| over the scan grid (tol_root defaults to 1e-6).
+    Every sign change of the real indicator over SCAN_GRID is refined by
+    Brent's method.  Acceptance is scale-free: a root is kept when |c1| there
+    is at most tol_root (default 1e-6) times the median |c1| over the grid.
     """
-    if grid_points < 32:
-        raise ValueError("grid_points must be >= 32")
     M = bg.M
-    eps = 1e-3 * M
-    n = grid_points
-    Es = [-M + eps + (2.0 * (M - eps)) * i / (n - 1) for i in range(n)]
-    vals = [_indicator_abs(bg, E, tol) for E in Es]
-    med = statistics.median(vals)
-    threshold = CANDIDATE_FACTOR * med
-    accept = (tol_root if tol_root is not None else 1e-6) * med
+    c1 = functools.cache(lambda E: c1_bound_indicator(bg, E, tol))
 
-    roots: list[tuple[float, float]] = []
-    for i in range(1, n - 1):
-        if vals[i] >= threshold:
-            continue
-        if vals[i] > vals[i - 1] or vals[i] > vals[i + 1]:
-            continue
-        lo, hi = Es[i - 1], Es[i + 1]
-        E_min, f_min = _golden_minimize(
-            lambda E: _indicator_abs(bg, E, tol), lo, hi, xtol=1e-8 * M
-        )
-        polished = _secant_polish(bg, E_min - 1e-6 * M, E_min + 1e-6 * M, tol)
-        if polished is not None and polished[1] < f_min:
-            E_min, f_min = polished
-        if abs(E_min) < DEGENERATE_SLIVER * M and f_min <= accept:
-            # The zero mode: c1 ~ gamma(E) * g(E) vanishes quadratically; the
-            # minimizer lands inside the degenerate sliver, i.e. at E = 0 to
-            # far better than the sliver width.  Report the symmetric point.
-            E_min = 0.0 if f_min == 0.0 else E_min
-        if f_min <= accept:
-            if not any(abs(E_min - r[0]) < 1e-3 * M for r in roots):
-                roots.append((E_min, f_min))
-    roots.sort()
-    out = []
-    for idx, (E_n, res) in enumerate(roots):
-        kappa = math.sqrt(max(M * M - E_n * E_n, 0.0))
-        out.append(BoundState(E_n=E_n, kappa=kappa, residual=res, index=idx))
+    def f(E: float) -> float:
+        return (c1(E) * _real_phase(bg, E)).real
+
+    Es = [g * M for g in SCAN_GRID]
+    fs = [f(E) for E in Es]
+    median = statistics.median(abs(c1(E)) for E in Es)
+    accept = tol_root if tol_root is not None else 1e-6
+    out: list[BoundState] = []
+    for (a, fa), (b, fb) in zip(zip(Es, fs), zip(Es[1:], fs[1:])):
+        if fa * fb < 0 or fb == 0:
+            # Brent returns a point it evaluated, so the residual is cached.
+            E_n = brentq(f, a, b, xtol=1e-13 * M)
+            residual = abs(c1(E_n)) / median
+            if residual <= accept:
+                out.append(BoundState(
+                    E_n=E_n, kappa=math.sqrt(M * M - E_n * E_n),
+                    residual=residual, index=len(out),
+                ))
     return out
 
 

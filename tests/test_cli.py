@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from kinkdirac import SolitonBackground, SpectralPoint, match_coefficients
+from kinkdirac import SolitonBackground, SpectralPoint, eval_u, match_coefficients
 from kinkdirac.cli import main
 
 
@@ -100,6 +100,24 @@ def test_scatter_incident_decomposition(tmp_path):
             + float(r["re_u_ref"]) + 1j * float(r["im_u_ref"])
         )
         assert abs(u - parts) <= 1e-9 * max(abs(u), 1.0)
+
+
+def test_scatter_evaluates_each_local_solution_once_per_row(tmp_path, monkeypatch):
+    # 3 for the match, 2 per incident row (3 at x = 0, which prints u1), and
+    # 1 per transmitted row.
+    from kinkdirac import cli, scattering
+
+    calls = []
+
+    def counting(sol, x, tol=1e-13):
+        calls.append(x)
+        return eval_u(sol, x, tol)
+
+    monkeypatch.setattr(cli, "eval_u", counting)
+    monkeypatch.setattr(scattering, "eval_u", counting)
+    code, rows, _, _ = run_csv(["scatter", "--M", "5", "--k", "2.5", "--samples", "21"], tmp_path)
+    assert code == 0 and len(rows) == 42
+    assert len(calls) == 3 + (2 * 20 + 3) + 21
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,20 @@ def test_degenerate_gamma_rejected():
         heun_second_solution(p, 0.1)
 
 
+def test_second_solution_continuous_through_gamma_zero():
+    # Only gamma = 1 degenerates the second solution; at gamma = 0 it is
+    # z Hl[gamma = 2], the limit of its neighbours.
+    def second(gamma):
+        p = HeunParams(a=0.5, q=0.3 + 0.1j, alpha=-1, beta=0, gamma=gamma, delta=1.2)
+        return heun_second_solution(p, 0.1 + 0.05j)
+
+    v0, d0 = second(0.0)
+    for g in (1e-6, -1e-6):
+        v, d = second(g)
+        assert abs(v - v0) <= 1e-5 * abs(v0)
+        assert abs(d - d0) <= 1e-5 * abs(d0)
+
+
 def test_second_solution_singular_at_zero():
     with pytest.raises(DomainError):
         heun_second_solution(ur1_params(), 0.0)

@@ -42,17 +42,25 @@ def test_wronskian_of_plane_waves():
         assert abs(wronskian(f, g) - (-2j * k)) < 1e-14
 
 
-def test_basis_wronskian_matches_abel_closed_form(bg5):
+def test_basis_wronskian_matches_abel_closed_form():
     # Abel's identity applied to u'' - 4iK sech(2Kx) u' + ... = 0 gives
     # W(x) = W(-inf) exp(int 4iK sech) with W(-inf) = -2ik e^{-pi k/K},
-    # hence W(0) = -2ik e^{-pi k/K} e^{i pi} = 2ik e^{-pi k/K}.
-    for k in (0.5, 2.5, 7.0):
-        sp = SpectralPoint.scattering(bg5, k)
-        s2 = build_solution(Family.U2_FIRST, bg5, sp)
-        s2b = build_solution(Family.U2_SECOND, bg5, sp)
-        w = wronskian(eval_u(s2, 0.0), eval_u(s2b, 0.0))
-        expected = 2j * k * math.exp(-math.pi * k / bg5.K)
-        assert abs(w - expected) < 1e-10 * abs(expected)
+    # hence W(0) = -2ik e^{-pi k/K} e^{i pi} = 2ik e^{-pi k/K}.  It holds on
+    # the bound continuation k = i kappa too, where c1_bound_indicator uses
+    # it; there the numerical W loses digits toward E = 0, where u2_first
+    # degenerates.
+    for K in (5.0, -5.0):
+        bg = SolitonBackground(M=5.0, K=K)
+        cases = [(SpectralPoint.scattering(bg, f * bg.M), 1e-10)
+                 for f in (1e-3, 0.1, 0.5, 1.4, 10.0)]
+        cases += [(SpectralPoint.bound(bg, f * bg.M), 1e-9)
+                  for f in (-0.95, -0.5, -0.1, 0.1, 0.5, 0.95)]
+        for sp, rel in cases:
+            s2 = build_solution(Family.U2_FIRST, bg, sp)
+            s2b = build_solution(Family.U2_SECOND, bg, sp)
+            w = wronskian(eval_u(s2, 0.0), eval_u(s2b, 0.0))
+            expected = 2j * sp.k * cmath.exp(-math.pi * sp.k / bg.K)
+            assert abs(w - expected) < rel * abs(expected), (sp, w, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +136,9 @@ def test_tiny_k_raises(bg5):
 
 
 def test_degenerate_basis_message_names_threshold_used(bg5):
-    sp = SpectralPoint.scattering(bg5, 1e-4)
-    with pytest.raises(DegenerateBasisError, match="below 1e-03 of the solution scale"):
-        match_coefficients(bg5, sp, basis_threshold=1e-3)
+    sp = SpectralPoint.scattering(bg5, 1e-11)
+    with pytest.raises(DegenerateBasisError, match="below 1e-10 of the solution scale"):
+        match_coefficients(bg5, sp)
 
 
 # ---------------------------------------------------------------------------

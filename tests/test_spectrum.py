@@ -1,5 +1,6 @@
 """Tests for bound-state search and the Levinson sum rule."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from kinkdirac import (
     Family,
+    KinkDiracError,
     SolitonBackground,
     SpectralPoint,
     build_solution,
@@ -15,6 +17,7 @@ from kinkdirac import (
     find_bound_states,
     levinson_check,
 )
+from kinkdirac import spectrum
 
 # Discrete spectrum of the reference kink, confirmed independently by a
 # shooting search on the directly integrated equation (see test_oracle.py).
@@ -76,7 +79,6 @@ def test_massive_bound_state_decays(bg5):
 
 
 def test_indicator_vanishes_only_at_roots(bg5):
-    # Even point count keeps E = 0 (where the u2 basis degenerates) off the grid.
     Es = np.linspace(-0.95 * bg5.M, 0.95 * bg5.M, 24)
     vals = np.array([abs(c1_bound_indicator(bg5, E)) for E in Es])
     roots = (0.0, E_MASSIVE_OVER_M * bg5.M)
@@ -108,3 +110,41 @@ def test_levinson_light_fermion():
     report = levinson_check(bg, find_bound_states(bg), k_min=1e-3 * bg.M, k_max=50 * bg.M)
     jump = report.delta_at_zero - report.delta_at_infinity
     assert abs(jump - math.pi / 2) < 0.05 * math.pi
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_indicator_is_real_up_to_known_phase(sign):
+    # c1 = e^{i pi (kappa/2M - 1)} f(E) with f real, measured against the
+    # scale of the terms of W(u1_first, u2_second).
+    bg = SolitonBackground(M=5.0, K=sign * 5.0)
+    for E in np.linspace(-0.999 * bg.M, 0.999 * bg.M, 21):
+        sp = SpectralPoint.bound(bg, E)
+        p1 = eval_u(build_solution(Family.U1_FIRST, bg, sp), 0.0)
+        p2b = eval_u(build_solution(Family.U2_SECOND, bg, sp), 0.0)
+        scale = (abs(p1[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p1[1])) / (2.0 * abs(sp.k))
+        kappa = math.sqrt(bg.M**2 - E**2)
+        f = c1_bound_indicator(bg, E) * cmath.exp(-1j * math.pi * (kappa / (2 * bg.M) - 1))
+        assert abs(f.imag) <= 1e-9 * scale
+
+
+def test_indicator_at_zero_mode_vanishes(bg5, bg5_anti):
+    # E = 0 is an ordinary point of the indicator: no degenerate factor enters.
+    assert abs(c1_bound_indicator(bg5, 0.0)) <= 1e-12
+    assert abs(c1_bound_indicator(bg5_anti, 0.0)) <= 1e-12
+
+
+def test_indicator_rejects_complex_c1(bg5, monkeypatch):
+    monkeypatch.setattr(spectrum, "IMAG_TOL", 0.0)
+    with pytest.raises(KinkDiracError, match=r"c1_bound_indicator: at E = 1\.5 .* of the Wronskian term scale"):
+        c1_bound_indicator(bg5, 1.5)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_spectrum_roots_are_sign_changes(sign):
+    # The zero mode is a computed root like the massive level.
+    bg = SolitonBackground(M=5.0, K=sign * 5.0)
+    zero, massive = sorted(find_bound_states(bg), key=lambda s: abs(s.E_n))
+    assert abs(zero.E_n) <= 1e-12 * bg.M
+    assert massive.E_n == pytest.approx(sign * 4.231807015500819, abs=1e-9 * bg.M)
+    for s in (zero, massive):
+        assert 0.0 < s.residual <= 1e-6
