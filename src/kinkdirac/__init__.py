@@ -42,8 +42,6 @@ from .scattering import (
     ScatteringData,
     match_coefficients,
     matched_u,
-    matched_uv,
-    matching_basis,
     unwrap_sweep,
     wronskian,
 )
@@ -54,7 +52,6 @@ from .soliton import (
     SpectralPoint,
     build_solution,
     eval_u,
-    eval_v,
     kink_profile,
     map_to_z,
     topological_charge,

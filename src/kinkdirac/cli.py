@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from .errors import KinkDiracError
 from .heun import HeunParams, heun_eval, heun_second_solution, heun_series, recurrence_coeffs
 from .oracle import integrate_heun, oracle_scattering, residuals
-from .scattering import match_coefficients, matched_u, matching_basis, unwrap_sweep
+from .scattering import match_coefficients, matched_u, unwrap_sweep
 from .soliton import (
     Family,
     SolitonBackground,
@@ -70,11 +70,6 @@ class RunConfig:
     def background(self) -> SolitonBackground:
         K = self.M if self.K_sign == "kink" else -self.M
         return SolitonBackground(M=self.M, K=K, beta=self.beta)
-
-    @property
-    def eval_tol(self) -> float:
-        # Tightening a check tolerance must never loosen the evaluation itself.
-        return min(self.tol_series, 1e-13)
 
     def angle(self, radians: float) -> float:
         return math.degrees(radians) if self.degrees else radians
@@ -135,26 +130,24 @@ def cmd_profile(cfg: RunConfig) -> int:
 def cmd_scatter(cfg: RunConfig) -> int:
     bg = cfg.background
     sp = SpectralPoint.scattering(bg, cfg.k, cfg.E_branch)
-    tol = cfg.eval_tol
-    data = match_coefficients(bg, sp, 0.0, tol)
-    sols = matching_basis(bg, sp)
-    sol1, sol2, sol2b = sols
+    data = match_coefficients(bg, sp)
+    _, sol2, sol2b = data.basis
     x_max = 10.0 / (2.0 * abs(bg.K))
     n = cfg.samples
     trans_sign = 1.0 if bg.K > 0 else -1.0
 
     def row(x: float, side: str) -> dict:
         if side == "incident":
-            ua, dua = eval_u(sol2, x, tol)
-            ub, dub = eval_u(sol2b, x, tol)
+            ua, dua = eval_u(sol2, x)
+            ub, dub = eval_u(sol2b, x)
             u_inc, du_inc = data.c1 * ua, data.c1 * dua
             u_ref, du_ref = data.c2 * ub, data.c2 * dub
             v_inc = v_from_u(u_inc, du_inc, bg, sp, x)
             v_ref = v_from_u(u_ref, du_ref, bg, sp, x)
             # x = 0 belongs to the transmitted side of the match, where u is u1.
-            u, du = matched_u(data, sols, x, tol) if x == 0 else (u_inc + u_ref, du_inc + du_ref)
+            u, du = matched_u(data, x) if x == 0 else (u_inc + u_ref, du_inc + du_ref)
         else:
-            u, du = matched_u(data, sols, x, tol)
+            u, du = matched_u(data, x)
             u_inc = u_ref = v_inc = v_ref = complex(math.nan, math.nan)
         v = v_from_u(u, du, bg, sp, x)
         return {
@@ -195,7 +188,7 @@ def _k_grid(cfg: RunConfig):
 
 def cmd_phase_sweep(cfg: RunConfig) -> int:
     bg = cfg.background
-    ks, deltas, data = unwrap_sweep(bg, _k_grid(cfg), cfg.eval_tol, cfg.E_branch)
+    ks, deltas, data = unwrap_sweep(bg, _k_grid(cfg), cfg.E_branch)
     records = []
     for k, delta in zip(ks, deltas):
         d = data[k]
@@ -216,10 +209,8 @@ def cmd_phase_sweep(cfg: RunConfig) -> int:
 
 def cmd_bound_states(cfg: RunConfig) -> int:
     bg = cfg.background
-    states = find_bound_states(bg, tol_root=cfg.tol_root, tol=cfg.eval_tol)
-    report = levinson_check(
-        bg, states, cfg.k_min, cfg.k_max, samples=min(cfg.samples, 48), tol=cfg.eval_tol,
-    )
+    states = find_bound_states(bg, tol_root=cfg.tol_root)
+    report = levinson_check(bg, states, cfg.k_min, cfg.k_max, samples=min(cfg.samples, 48))
     records = [
         {"index": b.index, "E": b.E_n, "kappa": b.kappa, "residual": b.residual}
         for b in states
@@ -242,7 +233,6 @@ def cmd_bound_states(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     bg = cfg.background
     sp = SpectralPoint.scattering(bg, cfg.k, cfg.E_branch)
-    tol = cfg.eval_tol
     checks = []
 
     def add(name: str, value: float, tolerance: float) -> None:
@@ -253,12 +243,12 @@ def cmd_validate(cfg: RunConfig) -> int:
 
     params = build_solution(Family.U1_FIRST, bg, sp).params
     # Series normalization and slope at z = 0.
-    v0, d0, _ = heun_series(params, 0.0, tol)
+    v0, d0, _ = heun_series(params, 0.0)
     add("series_normalization", abs(v0 - 1.0), cfg.tol_series)
     slope = params.q / (params.a * params.gamma)
     add("series_slope", abs(d0 - slope) / abs(slope), cfg.tol_series)
     # Recurrence residual of the stored coefficients at a generic point.
-    _, _, state = heun_series(params, 0.2, tol)
+    _, _, state = heun_series(params, 0.2)
     worst = 0.0
     h = state.coefficients
     for n in range(1, len(h) - 1):
@@ -271,39 +261,38 @@ def cmd_validate(cfg: RunConfig) -> int:
     add("recurrence_residual", worst, cfg.tol_series)
     # Continuation vs direct complex ODE integration.
     z_t = 0.5 + 0.5j
-    hv, _ = heun_eval(params, z_t, tol)
+    hv, _ = heun_eval(params, z_t)
     ho, _ = integrate_heun(params, [z_t])
     add("continuation_vs_ode", abs(hv - ho) / abs(ho), cfg.tol_continuation)
     # Oracle agreement of the matching coefficients.
-    data = match_coefficients(bg, sp, 0.0, tol)
+    data = match_coefficients(bg, sp)
     c1o, c2o = oracle_scattering(bg, sp)
     add("oracle_c1", abs(data.c1 - c1o) / abs(c1o), 1e-6)
     add("oracle_c2", abs(data.c2 - c2o) / abs(c2o), 1e-6)
     # Unitarity across a small sweep.
     worst_u = 0.0
     for frac in (0.1, 0.2, 0.5, 1.0, 2.0):
-        d = match_coefficients(bg, SpectralPoint.scattering(bg, frac * bg.M), 0.0, tol)
+        d = match_coefficients(bg, SpectralPoint.scattering(bg, frac * bg.M))
         worst_u = max(worst_u, abs(d.T + d.R - 1.0))
     add("unitarity", worst_u, 1e-6)
     # Matching-point invariance.
     c1s = [
-        match_coefficients(bg, sp, x0 / abs(bg.K), tol).c1
+        match_coefficients(bg, sp, x0 / abs(bg.K)).c1
         for x0 in (-0.2, -0.1, 0.0, 0.1, 0.2)
     ]
     spread = max(abs(c - c1s[2]) for c in c1s) / abs(c1s[2])
     add("matching_invariance", spread, 1e-6)
     # Governing-equation residuals of the matched solution.
-    sols = matching_basis(bg, sp)
     half_x = 10.0 / (2.0 * abs(bg.K))
     n_pts = 401
     xs = [-half_x + 2.0 * half_x * i / (n_pts - 1) for i in range(n_pts)]
-    pairs = [matched_u(data, sols, x, tol) for x in xs]
+    pairs = [matched_u(data, x) for x in xs]
     us = [p[0] for p in pairs]
     vs = [v_from_u(u, du, bg, sp, x) for (u, du), x in zip(pairs, xs)]
     rep = residuals(xs, us, vs, bg, sp)
     add("governing_residuals", rep.max_rel_residual, 1e-6)
     # Bound-state root residuals (scale-free).
-    states = find_bound_states(bg, tol_root=cfg.tol_root, tol=tol)
+    states = find_bound_states(bg, tol_root=cfg.tol_root)
     add("bound_root_residual", max((b.residual for b in states), default=math.inf), cfg.tol_root)
 
     # Emit the check entries as the records (CSV rows) and mirror them in the
@@ -328,9 +317,9 @@ def cmd_heun_eval(cfg: RunConfig, args) -> int:
         gamma=args.gamma, delta=args.delta,
     )
     if args.second:
-        value, deriv = heun_second_solution(params, args.z, cfg.eval_tol)
+        value, deriv = heun_second_solution(params, args.z)
     else:
-        value, deriv = heun_eval(params, args.z, cfg.eval_tol)
+        value, deriv = heun_eval(params, args.z)
     records = [
         {
             "re_z": args.z.real, "im_z": args.z.imag,

@@ -41,6 +41,9 @@ STEP_FRACTION = 0.5
 MIN_CLEARANCE = 0.1
 # |gamma - nearest integer| below this counts as that integer (degenerate case).
 GAMMA_INTEGER_TOL = 1e-13
+# Series and Taylor sums stop after three consecutive terms below TOL times
+# the partial sum: the one accuracy the whole pipeline evaluates at.
+TOL = 1e-13
 
 _TINY = 1e-300
 
@@ -114,26 +117,24 @@ def check_gamma_nondegenerate(params: HeunParams, second: bool = False) -> None:
     The series recurrence divides by Q_{n+1} = a (n+1)(n+gamma), so gamma at a
     non-positive integer makes some Q vanish.  The second solution
     z^(1-gamma) Hl[shifted] coincides with the first at gamma = 1 (equal
-    exponents, the logarithmic case); its other integer gammas are left to
-    the shifted series' own check.
+    exponents, the logarithmic case), and at gamma = 2, 3, ... its shifted
+    series has gamma = 0, -1, ...
     """
     g = params.gamma
     nearest = round(g.real)
-    if (nearest == 1 if second else nearest <= 0) and abs(g - nearest) < GAMMA_INTEGER_TOL:
+    if (nearest >= 1 if second else nearest <= 0) and abs(g - nearest) < GAMMA_INTEGER_TOL:
         stage = "heun_second_solution" if second else "heun_series"
         raise DegenerateGammaError(
             f"{stage}: gamma = {g} is within {GAMMA_INTEGER_TOL} of the degenerate value {nearest}"
         )
 
 
-def heun_series(params: HeunParams, z: complex, tol: float = 1e-14):
+def heun_series(params: HeunParams, z: complex):
     """Evaluate (Hl(z), Hl'(z)) by the defining power series about z = 0.
 
     Returns (value, derivative, SeriesState).  Converged when three
-    consecutive terms fall below tol * |partial sum|.
+    consecutive terms fall below TOL * |partial sum|.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     z = complex(z)
     rad = params.radius
     if abs(z) > DISK_MARGIN * rad:
@@ -167,7 +168,7 @@ def heun_series(params: HeunParams, z: complex, tol: float = 1e-14):
         value += term
         deriv += (n + 1) * h_next * zn
         zn *= z
-        if abs(term) < tol * max(abs(value), _TINY):
+        if abs(term) < TOL * max(abs(value), _TINY):
             streak += 1
             if streak >= 3:
                 return value, deriv, SeriesState(tuple(coeffs), n + 1, truncated)
@@ -199,14 +200,17 @@ def second_solution_params(params: HeunParams) -> HeunParams:
     )
 
 
-def heun_second_solution(params: HeunParams, z: complex, tol: float = 1e-14):
-    """Second local solution z^(1-gamma) Hl[shifted](z) and its derivative."""
+def heun_second_solution(params: HeunParams, z: complex):
+    """Second local solution z^(1-gamma) Hl[shifted](z) and its derivative.
+
+    Hl[shifted] comes from heun_eval, so it is continued beyond the series
+    disk like the first solution; z^(1-gamma) is the principal branch.
+    """
     z = complex(z)
     if z == 0:
         raise DomainError("second solution is singular (fractional power) at z = 0")
     check_gamma_nondegenerate(params, second=True)
-    shifted = second_solution_params(params)
-    h, dh, _ = heun_series(shifted, z, tol)
+    h, dh = heun_eval(second_solution_params(params), z)
     power = 1 - params.gamma
     w = cmath.exp(power * cmath.log(z))
     value = w * h
@@ -249,6 +253,18 @@ def _segment_crosses_cut(p: complex, q: complex, a: complex) -> bool:
     return x_cross >= cut_start - 1e-15
 
 
+def _path_fault(params: HeunParams, waypoints, clearance: float) -> str | None:
+    """Why the polyline through waypoints is not an admissible continuation
+    path, or None: every segment keeps clearance from {0, 1, a} and none
+    crosses the cut [a, +inf)."""
+    for p, q in zip(waypoints, waypoints[1:]):
+        if _segment_clearance(p, q, params.singularities) < clearance * (1 - 1e-12):
+            return f"segment {p} -> {q} comes closer than {clearance:.3g} to a singularity"
+        if _segment_crosses_cut(p, q, params.a):
+            return f"segment {p} -> {q} crosses the branch cut [a, +inf)"
+    return None
+
+
 @dataclass(frozen=True)
 class ContinuationPath:
     """Piecewise-linear continuation path through the cut plane."""
@@ -262,15 +278,9 @@ class ContinuationPath:
             raise PathError("a continuation path needs at least one waypoint")
 
     def validate(self, params: HeunParams) -> None:
-        sings = params.singularities
-        for p, q in zip(self.waypoints, self.waypoints[1:]):
-            if _segment_clearance(p, q, sings) < self.min_singularity_distance * (1 - 1e-12):
-                raise PathError(
-                    f"segment {p} -> {q} comes closer than "
-                    f"{self.min_singularity_distance:.3g} to a singularity"
-                )
-            if _segment_crosses_cut(p, q, params.a):
-                raise PathError(f"segment {p} -> {q} crosses the branch cut [a, +inf)")
+        fault = _path_fault(params, self.waypoints, self.min_singularity_distance)
+        if fault is not None:
+            raise PathError(fault)
 
 
 def default_path(params: HeunParams, z_target: complex) -> ContinuationPath:
@@ -289,46 +299,29 @@ def default_path(params: HeunParams, z_target: complex) -> ContinuationPath:
         raise PathError(f"continuation target {z_target} is a singular point")
     required = min(MIN_CLEARANCE, 0.5 * d_target, 0.5 * d_start)
 
-    def ok(pts):
-        for p, q in zip(pts, pts[1:]):
-            if _segment_clearance(p, q, sings) < required:
-                return False
-            if _segment_crosses_cut(p, q, params.a):
-                return False
-        return True
+    def candidates():
+        yield (z0, z_target)
+        # Two-segment detour through a perpendicular offset of the midpoint,
+        # preferring the half-plane of the target (never toward the cut).
+        direction = (z_target - z0) / abs(z_target - z0)
+        perp = 1j * direction
+        sign_pref = 1.0 if z_target.imag >= 0 else -1.0
+        if (perp * sign_pref).imag < 0:
+            sign_pref = -sign_pref
+        mid = 0.5 * (z0 + z_target)
+        span = abs(z_target - z0)
+        for sign in (sign_pref, -sign_pref):
+            for frac in (0.3, 0.5, 0.8, 1.2):
+                yield (z0, mid + sign * perp * frac * span, z_target)
 
-    straight = (z0, z_target)
-    if ok(straight):
-        clear = min(_segment_clearance(p, q, sings) for p, q in zip(straight, straight[1:]))
-        return ContinuationPath(straight, min(required, clear))
-
-    # Two-segment detour through a perpendicular offset of the midpoint,
-    # preferring the half-plane of the target (never toward the cut).
-    direction = (z_target - z0) / abs(z_target - z0)
-    perp = 1j * direction
-    sign_pref = 1.0 if z_target.imag >= 0 else -1.0
-    if (perp * sign_pref).imag < 0:
-        sign_pref = -sign_pref
-    mid = 0.5 * (z0 + z_target)
-    span = abs(z_target - z0)
-    for sign in (sign_pref, -sign_pref):
-        for frac in (0.3, 0.5, 0.8, 1.2):
-            detour = mid + sign * perp * frac * span
-            pts = (z0, detour, z_target)
-            if ok(pts):
-                clear = min(_segment_clearance(p, q, sings) for p, q in zip(pts, pts[1:]))
-                return ContinuationPath(pts, min(required, clear))
+    for pts in candidates():
+        if _path_fault(params, pts, required) is None:
+            clear = min(_segment_clearance(p, q, sings) for p, q in zip(pts, pts[1:]))
+            return ContinuationPath(pts, min(required, clear))
     raise PathError(f"no admissible default path from {z0} to {z_target}")
 
 
-def taylor_step(
-    params: HeunParams,
-    z0: complex,
-    value: complex,
-    deriv: complex,
-    z1: complex,
-    tol: float = 1e-14,
-):
+def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex, z1: complex):
     """Advance the solution (value, deriv) at z0 to z1 by local Taylor expansion.
 
     Coefficients follow from the ODE in polynomial form A u'' + B u' + C u = 0
@@ -374,7 +367,7 @@ def taylor_step(
         term = c_new * tn
         val += term
         dv += (m + 2) * c_new * (tn / t) if t != 0 else 0j
-        if abs(term) < tol * max(abs(val), _TINY):
+        if abs(term) < TOL * max(abs(val), _TINY):
             streak += 1
             if streak >= 3:
                 return val, dv
@@ -386,22 +379,18 @@ def taylor_step(
     )
 
 
-def heun_continue(
-    params: HeunParams,
-    z_target: complex,
-    path: ContinuationPath | None = None,
-    tol: float = 1e-14,
-):
+def heun_continue(params: HeunParams, z_target: complex, path: ContinuationPath | None = None):
     """Analytic continuation of (Hl, Hl') to z_target along a path.
 
     The path's first waypoint must lie inside the series disk; each segment is
     traversed by Taylor steps no longer than STEP_FRACTION times the distance
-    to the nearest singularity.
+    to the nearest singularity.  A caller-supplied path is validated first.
     """
     z_target = complex(z_target)
     if path is None:
         path = default_path(params, z_target)
-    path.validate(params)
+    else:
+        path.validate(params)
     sings = params.singularities
     start = path.waypoints[0]
     if abs(start) > DISK_MARGIN * params.radius:
@@ -409,7 +398,7 @@ def heun_continue(
             f"path start {start} lies outside the series disk of radius "
             f"{DISK_MARGIN * params.radius:.6g}"
         )
-    value, deriv, _ = heun_series(params, start, tol)
+    value, deriv, _ = heun_series(params, start)
     zc = start
     targets = list(path.waypoints[1:])
     if not targets or targets[-1] != z_target:
@@ -423,7 +412,7 @@ def heun_continue(
                 raise PathError(f"continuation stalled near singularity at z = {zc}")
             rem = w_end - zc
             z_next = w_end if abs(rem) <= step else zc + rem / abs(rem) * step
-            value, deriv = taylor_step(params, zc, value, deriv, z_next, tol)
+            value, deriv = taylor_step(params, zc, value, deriv, z_next)
             zc = z_next
             guard += 1
             if guard > 10_000:
@@ -431,7 +420,7 @@ def heun_continue(
     return value, deriv
 
 
-def heun_eval(params: HeunParams, z: complex, tol: float = 1e-14):
+def heun_eval(params: HeunParams, z: complex):
     """Evaluate (Hl(z), Hl'(z)) anywhere in the cut plane.
 
     Uses the power series deep inside the convergence disk and chained Taylor
@@ -439,6 +428,6 @@ def heun_eval(params: HeunParams, z: complex, tol: float = 1e-14):
     """
     z = complex(z)
     if abs(z) <= 0.5 * DISK_MARGIN * params.radius:
-        value, deriv, _ = heun_series(params, z, tol)
+        value, deriv, _ = heun_series(params, z)
         return value, deriv
-    return heun_continue(params, z, None, tol)
+    return heun_continue(params, z)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DegenerateBasisError
 from .soliton import (
@@ -35,13 +35,13 @@ from .soliton import (
     SpectralPoint,
     build_solution,
     eval_u,
-    v_from_u,
 )
 
 
 @dataclass(frozen=True)
 class ScatteringData:
-    """Matching coefficients and derived scattering observables at one (E, k)."""
+    """Matching coefficients and derived scattering observables at one (E, k),
+    with the (u1_first, u2_first, u2_second) basis they were matched in."""
 
     c1: complex
     c2: complex
@@ -49,6 +49,7 @@ class ScatteringData:
     r: complex
     delta: float
     x0: float
+    basis: tuple[LocalSolution, LocalSolution, LocalSolution] = field(repr=False)
 
     @property
     def T(self) -> float:
@@ -70,20 +71,10 @@ def wronskian(f_pair, g_pair) -> complex:
 BASIS_THRESHOLD = 1e-10
 
 
-def matching_basis(bg: SolitonBackground, sp: SpectralPoint):
-    """The three local solutions entering the match: (u1_first, u2_first, u2_second)."""
-    return (
-        build_solution(Family.U1_FIRST, bg, sp),
-        build_solution(Family.U2_FIRST, bg, sp),
-        build_solution(Family.U2_SECOND, bg, sp),
-    )
-
-
 def match_coefficients(
     bg: SolitonBackground,
     sp: SpectralPoint,
     x0: float = 0.0,
-    tol: float = 1e-13,
 ) -> ScatteringData:
     """Match u1 against the u2 basis at x0 and return the scattering data.
 
@@ -93,10 +84,12 @@ def match_coefficients(
     (spectrum.c1_bound_indicator): its rounding errors cancel against the
     numerator's in c1 and c2, which keeps unitarity at large k/M.
     """
-    sol1, sol2, sol2b = matching_basis(bg, sp)
-    p1 = eval_u(sol1, x0, tol)
-    p2 = eval_u(sol2, x0, tol)
-    p2b = eval_u(sol2b, x0, tol)
+    basis = (
+        build_solution(Family.U1_FIRST, bg, sp),
+        build_solution(Family.U2_FIRST, bg, sp),
+        build_solution(Family.U2_SECOND, bg, sp),
+    )
+    p1, p2, p2b = (eval_u(sol, x0) for sol in basis)
     w_den = wronskian(p2, p2b)
     scale = abs(p2[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p2[1])
     if abs(w_den) < BASIS_THRESHOLD * scale:
@@ -110,37 +103,19 @@ def match_coefficients(
     t = cmath.exp(half * sp.k) / c1
     r = cmath.sqrt((sp.E - sp.k) / (sp.E + sp.k)) * (c2 / c1) * cmath.exp(-half * sp.k)
     delta = -cmath.phase(c1)
-    return ScatteringData(c1=c1, c2=c2, t=t, r=r, delta=delta, x0=x0)
+    return ScatteringData(c1=c1, c2=c2, t=t, r=r, delta=delta, x0=x0, basis=basis)
 
 
-def matched_u(
-    data: ScatteringData,
-    sols: tuple[LocalSolution, LocalSolution, LocalSolution],
-    x: float,
-    tol: float = 1e-13,
-):
+def matched_u(data: ScatteringData, x: float):
     """The globally matched solution: the transmitted frame u1 on its side of
     x0 (x >= x0 for the kink, x <= x0 for the antikink), c1 u2 + c2 u2b on the
     other."""
-    sol1, sol2, sol2b = sols
+    sol1, sol2, sol2b = data.basis
     if sol1.background.K * (x - data.x0) >= 0:
-        return eval_u(sol1, x, tol)
-    u_a, du_a = eval_u(sol2, x, tol)
-    u_b, du_b = eval_u(sol2b, x, tol)
+        return eval_u(sol1, x)
+    u_a, du_a = eval_u(sol2, x)
+    u_b, du_b = eval_u(sol2b, x)
     return data.c1 * u_a + data.c2 * u_b, data.c1 * du_a + data.c2 * du_b
-
-
-def matched_uv(
-    bg: SolitonBackground,
-    sp: SpectralPoint,
-    data: ScatteringData,
-    sols,
-    x: float,
-    tol: float = 1e-13,
-):
-    """(u, du, v) of the matched solution at x."""
-    u, du = matched_u(data, sols, x, tol)
-    return u, du, v_from_u(u, du, bg, sp, x)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +133,7 @@ def _wrap(angle: float) -> float:
     return -((-angle + math.pi) % (2.0 * math.pi) - math.pi)
 
 
-def unwrap_sweep(bg: SolitonBackground, ks, tol: float = 1e-13, branch: str = "positive"):
+def unwrap_sweep(bg: SolitonBackground, ks, branch: str = "positive"):
     """Compute ScatteringData over a k-grid on one energy branch, with
     continuously unwrapped delta.
 
@@ -171,7 +146,7 @@ def unwrap_sweep(bg: SolitonBackground, ks, tol: float = 1e-13, branch: str = "p
     """
 
     def match(k: float) -> ScatteringData:
-        return match_coefficients(bg, SpectralPoint.scattering(bg, k, branch), 0.0, tol)
+        return match_coefficients(bg, SpectralPoint.scattering(bg, k, branch))
 
     requested = sorted(set(float(k) for k in ks))
     grid = list(requested)

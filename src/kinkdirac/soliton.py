@@ -251,7 +251,7 @@ def build_solution(family: Family, bg: SolitonBackground, sp: SpectralPoint) -> 
     )
 
 
-def eval_u(sol: LocalSolution, x: float, tol: float = 1e-13):
+def eval_u(sol: LocalSolution, x: float):
     """Upper spinor component u(x) and its x-derivative for one local solution.
 
     u = amp * e^{ikx} * z^{z_power} * Hl(z) with the appropriate parameter set;
@@ -259,7 +259,7 @@ def eval_u(sol: LocalSolution, x: float, tol: float = 1e-13):
     """
     bg, sp = sol.background, sol.spectral
     z = map_to_z(sol.family, bg, x)
-    h, dh = heun_eval(sol.params, z, tol)
+    h, dh = heun_eval(sol.params, z)
     log_pref = 1j * sp.k * x
     if sol.z_power != 0:
         log_pref = log_pref + sol.z_power * log_z(sol.family, bg, x)
@@ -274,8 +274,3 @@ def v_from_u(u: complex, du: complex, bg: SolitonBackground, sp: SpectralPoint, 
     """Lower component from (u, u'): v = (i/M) ratio^2 (E u - i u')."""
     return (1j / bg.M) * ratio_squared(bg, x) * (sp.E * u - 1j * du)
 
-
-def eval_v(sol: LocalSolution, x: float, tol: float = 1e-13) -> complex:
-    """Lower spinor component of one local solution at x."""
-    u, du = eval_u(sol, x, tol)
-    return v_from_u(u, du, sol.background, sol.spectral, x)

@@ -73,7 +73,7 @@ def _real_phase(bg: SolitonBackground, E: float) -> complex:
     return cmath.exp(-1j * math.pi * (kappa / (2.0 * bg.M) - 1.0))
 
 
-def c1_bound_indicator(bg: SolitonBackground, E: float, tol: float = 1e-13) -> complex:
+def c1_bound_indicator(bg: SolitonBackground, E: float) -> complex:
     """c1 on the bound continuation k = i sqrt(M^2 - E^2) sign(K).
 
     c1 = W(u1_first, u2_second) / (2ik e^{-pi k/K}) at x0 = 0.  Raises
@@ -85,8 +85,8 @@ def c1_bound_indicator(bg: SolitonBackground, E: float, tol: float = 1e-13) -> c
             f"|E| = {abs(E)} too close to the continuum edge M = {bg.M} (kappa -> 0)"
         )
     sp = SpectralPoint.bound(bg, E)
-    p1 = eval_u(build_solution(Family.U1_FIRST, bg, sp), 0.0, tol)
-    p2b = eval_u(build_solution(Family.U2_SECOND, bg, sp), 0.0, tol)
+    p1 = eval_u(build_solution(Family.U1_FIRST, bg, sp), 0.0)
+    p2b = eval_u(build_solution(Family.U2_SECOND, bg, sp), 0.0)
     w_den = 2j * sp.k * cmath.exp(-math.pi * sp.k / bg.K)
     c1 = wronskian(p1, p2b) / w_den
     scale = (abs(p1[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p1[1])) / abs(w_den)
@@ -100,11 +100,7 @@ def c1_bound_indicator(bg: SolitonBackground, E: float, tol: float = 1e-13) -> c
     return c1
 
 
-def find_bound_states(
-    bg: SolitonBackground,
-    tol_root: float | None = None,
-    tol: float = 1e-13,
-) -> list[BoundState]:
+def find_bound_states(bg: SolitonBackground, tol_root: float | None = None) -> list[BoundState]:
     """Bound levels as the roots of c1 on (-M, M).
 
     Every sign change of the real indicator over SCAN_GRID is refined by
@@ -112,7 +108,7 @@ def find_bound_states(
     is at most tol_root (default 1e-6) times the median |c1| over the grid.
     """
     M = bg.M
-    c1 = functools.cache(lambda E: c1_bound_indicator(bg, E, tol))
+    c1 = functools.cache(lambda E: c1_bound_indicator(bg, E))
 
     def f(E: float) -> float:
         return (c1(E) * _real_phase(bg, E)).real
@@ -141,7 +137,6 @@ def levinson_check(
     k_min: float,
     k_max: float,
     samples: int = 48,
-    tol: float = 1e-13,
 ) -> LevinsonReport:
     """Phase-shift sweep checked against Levinson's theorem for the given
     bound states (as returned by find_bound_states).
@@ -160,7 +155,7 @@ def levinson_check(
         ks.add(min(k, k_max))
         k *= ratio
     ks.update((k_min, 2.0 * k_min, 4.0 * k_min, k_max))
-    grid, deltas, _ = unwrap_sweep(bg, sorted(ks), tol)
+    grid, deltas, _ = unwrap_sweep(bg, sorted(ks))
     by_k = dict(zip(grid, deltas))
     # Richardson on delta(k) = delta0 + a k + b k^2 at {k, 2k, 4k}.
     d1, d2, d4 = by_k[k_min], by_k[2.0 * k_min], by_k[4.0 * k_min]

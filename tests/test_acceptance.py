@@ -25,8 +25,7 @@ from kinkdirac import (
     integrate_heun,
     levinson_check,
     match_coefficients,
-    matched_uv,
-    matching_basis,
+    matched_u,
     oracle_scattering,
     residuals,
     v_from_u,
@@ -114,17 +113,18 @@ def test_criterion_3_oracle_equivalence(bg5):
 def test_criterion_4_matching_smoothness_and_invariance(bg5, sp25):
     t0 = time.perf_counter()
     data = match_coefficients(bg5, sp25)
-    sols = matching_basis(bg5, sp25)
     # Continuity of value and slope at x = 0 (matched by construction).
     eps = 1e-12
-    uL, duL, vL = matched_uv(bg5, sp25, data, sols, -eps)
-    uR, duR, vR = matched_uv(bg5, sp25, data, sols, +eps)
+    uL, duL = matched_u(data, -eps)
+    uR, duR = matched_u(data, +eps)
+    vL = v_from_u(uL, duL, bg5, sp25, -eps)
+    vR = v_from_u(uR, duR, bg5, sp25, +eps)
     cont = max(abs(uL - uR) / abs(uR), abs(duL - duR) / abs(duR),
                abs(vL - vR) / abs(vR))
     # Agreement on the overlap strip.
     overlap = 0.0
     from kinkdirac import eval_u
-    sol1, sol2, sol2b = sols
+    sol1, sol2, sol2b = data.basis
     for x in np.linspace(-0.1, 0.1, 11):
         u1, _ = eval_u(sol1, x)
         u2, _ = eval_u(sol2, x)
@@ -144,12 +144,11 @@ def test_criterion_4_matching_smoothness_and_invariance(bg5, sp25):
 def test_criterion_5_governing_residuals(bg5, sp25):
     t0 = time.perf_counter()
     data = match_coefficients(bg5, sp25)
-    sols = matching_basis(bg5, sp25)
     xs = np.linspace(-2.0, 2.0, 401)
     us = np.empty(401, dtype=complex)
     dus = np.empty(401, dtype=complex)
     for i, x in enumerate(xs):
-        us[i], dus[i], _ = matched_uv(bg5, sp25, data, sols, x)
+        us[i], dus[i] = matched_u(data, x)
     vs = [v_from_u(u, du, bg5, sp25, x) for u, du, x in zip(us, dus, xs)]
     report = residuals(xs, us, vs, bg5, sp25)
     elapsed = time.perf_counter() - t0

@@ -109,9 +109,9 @@ def test_scatter_evaluates_each_local_solution_once_per_row(tmp_path, monkeypatc
 
     calls = []
 
-    def counting(sol, x, tol=1e-13):
+    def counting(sol, x):
         calls.append(x)
-        return eval_u(sol, x, tol)
+        return eval_u(sol, x)
 
     monkeypatch.setattr(cli, "eval_u", counting)
     monkeypatch.setattr(scattering, "eval_u", counting)
@@ -251,6 +251,15 @@ def test_numerical_failure_exits_3(tmp_path):
     # a usage error.
     assert main(["scatter", "--M", "5", "--k", "0", "--out",
                  str(tmp_path / "x.csv")]) == 3
+
+
+@pytest.mark.parametrize("gamma", ["2", "3"])
+def test_degenerate_second_solution_names_its_stage(tmp_path, capsys, gamma):
+    assert main(["heun-eval", "--second", "--gamma", gamma, "--q", "0.3", "--alpha", "-1",
+                 "--beta-heun", "0", "--delta", "0.8", "--z", "0.1+0.1j",
+                 "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"heun_second_solution: gamma = ({gamma}+0j)" in err
 
 
 def test_overflowing_momentum_exits_3(tmp_path, capsys):

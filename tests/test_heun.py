@@ -1,6 +1,8 @@
 """Unit tests for the Heun-function core: series, second solution, continuation."""
 
 import cmath
+import importlib
+import inspect
 import math
 
 import numpy as np
@@ -250,6 +252,16 @@ def test_second_solution_continuous_through_gamma_zero():
         assert abs(d - d0) <= 1e-5 * abs(d0)
 
 
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+def test_second_solution_error_names_stage_and_caller_gamma(gamma):
+    # The shifted series would have gamma = 0 or -1; the error must name the
+    # second solution and the gamma the caller passed.
+    p = HeunParams(a=0.5, q=0.3, alpha=-1, beta=0, gamma=gamma, delta=0.8)
+    with pytest.raises(DegenerateGammaError,
+                       match=rf"^heun_second_solution: gamma = \({gamma:g}\+0j\)"):
+        heun_second_solution(p, 0.1 + 0.1j)
+
+
 def test_second_solution_singular_at_zero():
     with pytest.raises(DomainError):
         heun_second_solution(ur1_params(), 0.0)
@@ -288,6 +300,16 @@ def test_continuation_matches_ode_uright12():
     assert abs(v - v_ode) <= 1e-8 * abs(v_ode)
 
 
+@pytest.mark.parametrize("z", [0.5 + 0.5j, 0.5 - 0.5j])
+def test_second_solution_continues_beyond_disk(z):
+    p = ur1_params()
+    v, _ = heun_second_solution(p, z)
+    shifted = second_solution_params(p)
+    h_ode, _ = integrate_heun(shifted, default_path(shifted, z).waypoints)
+    v_ode = cmath.exp((1 - p.gamma) * cmath.log(z)) * h_ode
+    assert abs(v - v_ode) <= 1e-8 * abs(v_ode)
+
+
 def test_path_independence_of_homotopic_paths():
     p = ur1_params()
     z = 0.5 + 0.5j
@@ -323,3 +345,13 @@ def test_default_path_detours_near_singular_targets():
     v, _ = heun_continue(p, z, path)
     v_ode, _ = integrate_heun(p, path.waypoints)
     assert abs(v - v_ode) <= 1e-7 * abs(v_ode)
+
+
+def test_pipeline_evaluates_at_one_tolerance():
+    # The evaluation accuracy is heun.TOL, fixed in one place: no public
+    # function of the pipeline layers takes a tol argument.
+    for layer in ("heun", "soliton", "scattering", "spectrum"):
+        mod = importlib.import_module(f"kinkdirac.{layer}")
+        for name, fn in vars(mod).items():
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not name.startswith("_"):
+                assert "tol" not in inspect.signature(fn).parameters, f"{layer}.{name}"

@@ -14,12 +14,10 @@ from kinkdirac import (
     SpectralPoint,
     build_solution,
     eval_u,
-    eval_v,
     match_coefficients,
     matched_u,
-    matched_uv,
-    matching_basis,
     unwrap_sweep,
+    v_from_u,
     wronskian,
 )
 
@@ -148,9 +146,8 @@ def test_degenerate_basis_message_names_threshold_used(bg5):
 
 def test_matched_u_continuous_at_origin(bg5, sp25):
     data = match_coefficients(bg5, sp25)
-    sols = matching_basis(bg5, sp25)
-    left, dleft = matched_u(data, sols, -1e-9)
-    right, dright = matched_u(data, sols, 1e-9)
+    left, dleft = matched_u(data, -1e-9)
+    right, dright = matched_u(data, 1e-9)
     assert abs(left - right) < 1e-6 * abs(left)
     assert abs(dleft - dright) < 1e-6 * abs(dleft)
 
@@ -167,8 +164,8 @@ def test_reflected_spinor_ratio(bg5, sp25):
     sol2b = build_solution(Family.U2_SECOND, bg5, sp25)
     u_in, du_in = eval_u(sol2, x)
     u_rf, du_rf = eval_u(sol2b, x)
-    v_in = eval_v(sol2, x)
-    v_rf = eval_v(sol2b, x)
+    v_in = v_from_u(u_in, du_in, bg5, sp25, x)
+    v_rf = v_from_u(u_rf, du_rf, bg5, sp25, x)
     ratio = (data.c2 * v_rf / (data.c1 * v_in)) / (data.c2 * u_rf / (data.c1 * u_in))
     assert abs(ratio - (E - k) / (E + k)) < 1e-4
     # And each piece individually approaches its free-spinor ratio.
@@ -176,14 +173,34 @@ def test_reflected_spinor_ratio(bg5, sp25):
     assert abs(v_rf / u_rf - 1j * (E - k) / bg5.M) < 1e-4
 
 
-def test_matched_uv_equals_components(bg5, sp25):
+def test_matched_u_equals_components(bg5, sp25):
+    # matched_u evaluates the basis match_coefficients kept: u1 on the
+    # transmitted side, c1 u2 + c2 u2b on the incident side.
     data = match_coefficients(bg5, sp25)
-    sols = matching_basis(bg5, sp25)
-    for x in (-0.7, 0.4):
-        u, du, v = matched_uv(bg5, sp25, data, sols, x)
-        uu, duu = matched_u(data, sols, x)
-        assert u == uu and du == duu
-        assert abs(v) > 0
+    sol1, sol2, sol2b = data.basis
+    assert [s.family for s in data.basis] == [Family.U1_FIRST, Family.U2_FIRST, Family.U2_SECOND]
+    assert matched_u(data, 0.4) == eval_u(sol1, 0.4)
+    (ua, dua), (ub, dub) = eval_u(sol2, -0.7), eval_u(sol2b, -0.7)
+    u, du = matched_u(data, -0.7)
+    assert u == data.c1 * ua + data.c2 * ub and du == data.c1 * dua + data.c2 * dub
+    assert abs(v_from_u(u, du, bg5, sp25, -0.7)) > 0
+
+
+@pytest.mark.parametrize("K", [5.0, -5.0])
+def test_matched_u_continuous_at_nonzero_matching_point(K):
+    # Matched at x0 = 0.1/|K|, u and u' agree across x0 once the smooth change
+    # over 2 eps (u' and u'' from the governing equation, O(eps^2) left) is
+    # taken out.
+    bg = SolitonBackground(M=5.0, K=K)
+    sp = SpectralPoint.scattering(bg, 2.5)
+    x0, eps = 0.1 / abs(K), 1e-9
+    data = match_coefficients(bg, sp, x0=x0)
+    uL, duL = matched_u(data, x0 - eps)
+    uR, duR = matched_u(data, x0 + eps)
+    sech = 1.0 / math.cosh(2.0 * K * (x0 - eps))
+    dduL = 4j * K * sech * duL - (sp.E ** 2 - bg.M ** 2 + 4.0 * sp.E * K * sech) * uL
+    assert abs(uR - (uL + 2 * eps * duL)) <= 1e-9 * abs(uR)
+    assert abs(duR - (duL + 2 * eps * dduL)) <= 1e-9 * abs(duR)
 
 
 # ---------------------------------------------------------------------------
