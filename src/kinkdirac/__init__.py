@@ -29,9 +29,7 @@ from .heun import (
     second_solution_params,
 )
 from .oracle import (
-    IntegrationConfig,
     ResidualReport,
-    Trajectory,
     extract_scattering,
     integrate_heun,
     integrate_u,

@@ -25,16 +25,8 @@ from dataclasses import asdict, dataclass
 from .errors import KinkDiracError
 from .heun import HeunParams, heun_eval, heun_second_solution, heun_series, recurrence_coeffs
 from .oracle import integrate_heun, oracle_scattering, residuals
-from .scattering import match_coefficients, matched_u, unwrap_sweep
-from .soliton import (
-    Family,
-    SolitonBackground,
-    SpectralPoint,
-    build_solution,
-    eval_u,
-    kink_profile,
-    v_from_u,
-)
+from .scattering import conjugate_spinor, match_coefficients, matched_u, unwrap_sweep
+from .soliton import SolitonBackground, SpectralPoint, eval_u, kink_profile, v_from_u
 from .spectrum import find_bound_states, levinson_check
 
 
@@ -117,7 +109,7 @@ def _emit(cfg: RunConfig, columns, records, checks=None) -> None:
 
 def cmd_profile(cfg: RunConfig) -> int:
     bg = cfg.background
-    half = 4.0 / abs(bg.K)
+    half = 4.0 / bg.M
     n = cfg.samples
     records = []
     for i in range(n):
@@ -129,27 +121,31 @@ def cmd_profile(cfg: RunConfig) -> int:
 
 def cmd_scatter(cfg: RunConfig) -> int:
     bg = cfg.background
-    sp = SpectralPoint.scattering(bg, cfg.k, cfg.E_branch)
-    data = match_coefficients(bg, sp)
-    _, sol2, sol2b = data.basis
-    x_max = 10.0 / (2.0 * abs(bg.K))
-    n = cfg.samples
-    trans_sign = 1.0 if bg.K > 0 else -1.0
+    data = match_coefficients(bg, SpectralPoint.scattering(bg, cfg.k, cfg.E_branch))
+    # An antikink row is the charge-conjugate image of the kink row at -x.
+    kink = data.kink or data
+    _, sol2, sol2b = kink.basis
+    bg_k, sp = sol2.background, sol2.spectral
+    x_max, n = 10.0 / (2.0 * bg.M), cfg.samples
 
     def row(x: float, side: str) -> dict:
         if side == "incident":
             ua, dua = eval_u(sol2, x)
             ub, dub = eval_u(sol2b, x)
-            u_inc, du_inc = data.c1 * ua, data.c1 * dua
-            u_ref, du_ref = data.c2 * ub, data.c2 * dub
-            v_inc = v_from_u(u_inc, du_inc, bg, sp, x)
-            v_ref = v_from_u(u_ref, du_ref, bg, sp, x)
+            u_inc, du_inc = kink.c1 * ua, kink.c1 * dua
+            u_ref, du_ref = kink.c2 * ub, kink.c2 * dub
+            v_inc = v_from_u(u_inc, du_inc, bg_k, sp, x)
+            v_ref = v_from_u(u_ref, du_ref, bg_k, sp, x)
             # x = 0 belongs to the transmitted side of the match, where u is u1.
-            u, du = matched_u(data, x) if x == 0 else (u_inc + u_ref, du_inc + du_ref)
+            u, du = matched_u(kink, x) if x == 0 else (u_inc + u_ref, du_inc + du_ref)
         else:
-            u, du = matched_u(data, x)
+            u, du = matched_u(kink, x)
             u_inc = u_ref = v_inc = v_ref = complex(math.nan, math.nan)
-        v = v_from_u(u, du, bg, sp, x)
+        v = v_from_u(u, du, bg_k, sp, x)
+        if kink is not data:
+            x = -x or 0.0
+            (u, v), (u_inc, v_inc), (u_ref, v_ref) = conjugate_spinor(
+                kink, (u, v), (u_inc, v_inc), (u_ref, v_ref))
         return {
             "x": x,
             "side": side,
@@ -161,15 +157,10 @@ def cmd_scatter(cfg: RunConfig) -> int:
             "re_v_ref": v_ref.real, "im_v_ref": v_ref.imag,
         }
 
-    records = []
-    # Incident/reflected side first (x of opposite sign to the transmitted side),
-    # sampling x = 0 from both sides.
-    for i in range(n):
-        x = -trans_sign * x_max * (1.0 - i / (n - 1))
-        records.append(row(x if x != 0 else 0.0, "incident"))
-    for i in range(n):
-        x = trans_sign * x_max * i / (n - 1)
-        records.append(row(x if x != 0 else 0.0, "transmitted"))
+    # Incident/reflected side first (the kink's x < 0), sampling x = 0 from
+    # both sides; "or 0.0" turns -0.0 into 0.0.
+    records = [row(-x_max * (1.0 - i / (n - 1)) or 0.0, "incident") for i in range(n)]
+    records += [row(x_max * i / (n - 1), "transmitted") for i in range(n)]
     columns = [
         "x", "side", "re_u", "im_u", "re_v", "im_v",
         "re_u_inc", "im_u_inc", "re_u_ref", "im_u_ref",
@@ -241,7 +232,8 @@ def cmd_validate(cfg: RunConfig) -> int:
              "passed": bool(value <= tolerance)}
         )
 
-    params = build_solution(Family.U1_FIRST, bg, sp).params
+    data = match_coefficients(bg, sp)
+    params = data.basis[0].params
     # Series normalization and slope at z = 0.
     v0, d0, _ = heun_series(params, 0.0)
     add("series_normalization", abs(v0 - 1.0), cfg.tol_series)
@@ -265,7 +257,6 @@ def cmd_validate(cfg: RunConfig) -> int:
     ho, _ = integrate_heun(params, [z_t])
     add("continuation_vs_ode", abs(hv - ho) / abs(ho), cfg.tol_continuation)
     # Oracle agreement of the matching coefficients.
-    data = match_coefficients(bg, sp)
     c1o, c2o = oracle_scattering(bg, sp)
     add("oracle_c1", abs(data.c1 - c1o) / abs(c1o), 1e-6)
     add("oracle_c2", abs(data.c2 - c2o) / abs(c2o), 1e-6)
@@ -277,13 +268,13 @@ def cmd_validate(cfg: RunConfig) -> int:
     add("unitarity", worst_u, 1e-6)
     # Matching-point invariance.
     c1s = [
-        match_coefficients(bg, sp, x0 / abs(bg.K)).c1
+        match_coefficients(bg, sp, x0 / bg.M).c1
         for x0 in (-0.2, -0.1, 0.0, 0.1, 0.2)
     ]
     spread = max(abs(c - c1s[2]) for c in c1s) / abs(c1s[2])
     add("matching_invariance", spread, 1e-6)
     # Governing-equation residuals of the matched solution.
-    half_x = 10.0 / (2.0 * abs(bg.K))
+    half_x = 10.0 / (2.0 * bg.M)
     n_pts = 401
     xs = [-half_x + 2.0 * half_x * i / (n_pts - 1) for i in range(n_pts)]
     pairs = [matched_u(data, x) for x in xs]
@@ -295,12 +286,10 @@ def cmd_validate(cfg: RunConfig) -> int:
     states = find_bound_states(bg, tol_root=cfg.tol_root)
     add("bound_root_residual", max((b.residual for b in states), default=math.inf), cfg.tol_root)
 
-    # Emit the check entries as the records (CSV rows) and mirror them in the
-    # JSON "checks" field so consumers of either format find them.
-    if cfg.output_format == "json":
-        _emit(cfg, ["name", "value", "tolerance", "passed"], checks, checks=checks)
-    else:
-        _emit(cfg, ["name", "value", "tolerance", "passed"], checks, checks=None)
+    # The check entries are the records (CSV rows), mirrored in the JSON
+    # "checks" field so consumers of either format find them.
+    _emit(cfg, ["name", "value", "tolerance", "passed"], checks,
+          checks=checks if cfg.output_format == "json" else None)
     return 0 if all(c["passed"] for c in checks) else 1
 
 

@@ -23,35 +23,10 @@ from scipy.integrate import solve_ivp
 
 from .errors import FitError, StepFailure
 from .heun import HeunParams
-from .soliton import SolitonBackground, SpectralPoint, ansatz_phase
+from .soliton import SolitonBackground, SpectralPoint, ratio_squared
 
 # Asymptotic fit window in the scaled coordinate s = 2Kx: sech(s) < 1e-10 there.
 TAIL_WINDOW = (25.0, 35.0)
-
-
-@dataclass(frozen=True)
-class IntegrationConfig:
-    """Adaptive integration settings for the direct x-space solver."""
-
-    x_start: float
-    x_end: float
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-13
-
-    def __post_init__(self):
-        if self.x_start == self.x_end:
-            raise ValueError("x_start and x_end must differ")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled direct-integration solution (x, u, du)."""
-
-    x: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,20 +43,19 @@ def _sech(s: float) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
-def integrate_u(
-    bg: SolitonBackground,
-    sp: SpectralPoint,
-    cfg: IntegrationConfig,
-    u_init: complex,
-    du_init: complex,
-    x_eval=None,
-    coupling_scale: float = 1.0,
-) -> Trajectory:
-    """Integrate the second-order u-equation from x_start to x_end.
+def integrate_u(bg: SolitonBackground, sp: SpectralPoint, x_start: float, x_end: float,
+                u_init: complex, du_init: complex, x_eval=None, coupling_scale: float = 1.0,
+                rel_tol: float = 1e-11, abs_tol: float = 1e-13):
+    """Integrate the second-order u-equation from x_start to x_end (DOP853)
+    and return the sampled solution as arrays (x, u, du).
 
     coupling_scale multiplies the sech terms; 0 detaches the kink entirely
     (free-propagation test double).
     """
+    if x_start == x_end:
+        raise ValueError("x_start and x_end must differ")
+    if rel_tol <= 0 or abs_tol <= 0:
+        raise ValueError("tolerances must be positive")
     K, E, M = bg.K, sp.E, bg.M
     c2 = E * E - M * M
 
@@ -94,17 +68,17 @@ def integrate_u(
     t_eval = None if x_eval is None else np.asarray(x_eval, dtype=float)
     sol = solve_ivp(
         rhs,
-        (cfg.x_start, cfg.x_end),
+        (x_start, x_end),
         [complex(u_init), complex(du_init)],
         method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
+        rtol=rel_tol,
+        atol=abs_tol,
         t_eval=t_eval,
         dense_output=False,
     )
     if not sol.success:
         raise StepFailure(f"direct integration failed: {sol.message}")
-    return Trajectory(x=sol.t, u=sol.y[0], du=sol.y[1])
+    return sol.t, sol.y[0], sol.y[1]
 
 
 def _fit_tail(x: np.ndarray, u: np.ndarray, k: complex):
@@ -117,11 +91,11 @@ def _fit_tail(x: np.ndarray, u: np.ndarray, k: complex):
     return coef[0], coef[1], float(resid)
 
 
-def extract_scattering(traj: Trajectory, bg: SolitonBackground, sp: SpectralPoint,
-                       kink_gauge: bool = True):
-    """Recover (c1, c2) from the asymptotic tails of a trajectory.
+def extract_scattering(x: np.ndarray, u: np.ndarray, bg: SolitonBackground,
+                       sp: SpectralPoint, kink_gauge: bool = True):
+    """Recover (c1, c2) from the asymptotic tails of a sampled solution u(x).
 
-    The trajectory must span |2Kx| >= 30 on both sides; the transmitted side
+    The samples must span |2Kx| >= 30 on both sides; the transmitted side
     (s -> +inf, where the transmitted wave is a pure e^{ikx}) normalizes the
     amplitudes.  With transmitted amplitude 1,
 
@@ -131,14 +105,14 @@ def extract_scattering(traj: Trajectory, bg: SolitonBackground, sp: SpectralPoin
     detached coupling, where free propagation must report c1 = 1, c2 = 0).
     """
     K, k = bg.K, sp.k
-    s = 2.0 * K * traj.x
+    s = 2.0 * K * x
     lo, hi = TAIL_WINDOW
     right = (s >= lo) & (s <= hi)
     left = (s <= -lo) & (s >= -hi)
     if np.count_nonzero(right) < 8 or np.count_nonzero(left) < 8:
-        raise FitError("trajectory does not sample both tail windows |2Kx| in [25, 35]")
-    A_r, B_r, res_r = _fit_tail(traj.x[right], traj.u[right], k)
-    A_l, B_l, res_l = _fit_tail(traj.x[left], traj.u[left], k)
+        raise FitError("samples do not cover both tail windows |2Kx| in [25, 35]")
+    A_r, B_r, res_r = _fit_tail(x[right], u[right], k)
+    A_l, B_l, res_l = _fit_tail(x[left], u[left], k)
     if max(res_r, res_l) > 1e-4:
         raise FitError(f"tail fit residual {max(res_r, res_l):.3g} exceeds 1e-4")
     half = math.pi * k / (2.0 * K) if kink_gauge else 0.0
@@ -167,9 +141,9 @@ def oracle_scattering(
     xs = xs[order]
     u0 = cmath.exp(1j * sp.k * x_plus)
     du0 = 1j * sp.k * u0
-    cfg = IntegrationConfig(x_start=x_plus, x_end=x_minus, rel_tol=rel_tol, abs_tol=abs_tol)
-    traj = integrate_u(bg, sp, cfg, u0, du0, x_eval=xs, coupling_scale=coupling_scale)
-    return extract_scattering(traj, bg, sp, kink_gauge=(coupling_scale != 0))
+    x, u, _ = integrate_u(bg, sp, x_plus, x_minus, u0, du0, x_eval=xs,
+                          coupling_scale=coupling_scale, rel_tol=rel_tol, abs_tol=abs_tol)
+    return extract_scattering(x, u, bg, sp, kink_gauge=(coupling_scale != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +252,7 @@ def residuals(x, u, v, bg: SolitonBackground, sp: SpectralPoint) -> ResidualRepo
     du = _fd(u, h, _D1, 1)
     ddu = _fd(u, h, _D2, 2)
     dv = _fd(v, h, _D1, 1)
-    phase = np.array([ansatz_phase(bg, xx) for xx in xi])  # e^{2 i beta phi}
+    phase = np.array([-ratio_squared(bg, xx) for xx in xi])  # e^{2 i beta phi}
     sech = np.array([_sech(2.0 * K * xx) for xx in xi])
 
     res1 = -E * ui + 1j * du + 1j * M * vi / phase

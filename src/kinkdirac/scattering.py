@@ -19,6 +19,14 @@ so with the transmitted amplitude e^{pi k/4K} the flux-normalized amplitudes
 satisfy |t|^2 + |r|^2 = 1 (the sqrt weight carries the v-component of the
 reflected current, conserved |u|^2 - |v|^2).  The phase shift is
 delta_u = delta_v = -arg c1.
+
+Antikink = charge-conjugate kink: only K = +M is solved.  The antikink at
+(E, k) is the image of the kink at (-E, conj k) (subscript k) under
+(u, v)(x) = lam (conj v_k(-x), -conj u_k(-x)), lam = i M e^{-pi k/2M} / (k - E),
+which maps incident, reflected and transmitted waves onto themselves, so
+
+    c1 = e^{-pi k/M} conj c1_k,   c2 = e^{-2 pi k/M} (E + k)/(E - k) conj c2_k,
+    t = conj t_k,   r = conj r_k,   delta = -delta_k,   x0 -> -x0,   E_n -> -E_n.
 """
 
 from __future__ import annotations
@@ -28,20 +36,15 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateBasisError
-from .soliton import (
-    Family,
-    LocalSolution,
-    SolitonBackground,
-    SpectralPoint,
-    build_solution,
-    eval_u,
-)
+from .soliton import (Family, LocalSolution, SolitonBackground, SpectralPoint, build_solution,
+                      eval_u, ratio_squared, v_from_u)
 
 
 @dataclass(frozen=True)
 class ScatteringData:
     """Matching coefficients and derived scattering observables at one (E, k),
-    with the (u1_first, u2_first, u2_second) basis they were matched in."""
+    with the kink's (u1_first, u2_first, u2_second) basis they were matched in
+    and, for the antikink, the kink data they are the image of."""
 
     c1: complex
     c2: complex
@@ -50,6 +53,7 @@ class ScatteringData:
     delta: float
     x0: float
     basis: tuple[LocalSolution, LocalSolution, LocalSolution] = field(repr=False)
+    kink: ScatteringData | None = field(default=None, repr=False)
 
     @property
     def T(self) -> float:
@@ -79,11 +83,21 @@ def match_coefficients(
     """Match u1 against the u2 basis at x0 and return the scattering data.
 
     Works for real k (scattering) and for the bound continuation k = i kappa;
-    t, r, delta are only physically meaningful for real k.  The denominator
-    W(u2_first, u2_second) is taken numerically, not from its closed form
-    (spectrum.c1_bound_indicator): its rounding errors cancel against the
-    numerator's in c1 and c2, which keeps unitarity at large k/M.
+    t, r, delta are only physically meaningful for real k.  The antikink is
+    the charge-conjugate image of the kink matched at (-E, conj k, -x0).
     """
+    if bg.K < 0:
+        kink = _match_kink(bg.kink, SpectralPoint(E=-sp.E, k=sp.k.conjugate()), -x0)
+        E, k, f = sp.E, sp.k, cmath.exp(-math.pi * sp.k / bg.M)
+        return ScatteringData(f * kink.c1.conjugate(), f * f * (E + k) / (E - k) * kink.c2.conjugate(),
+                              kink.t.conjugate(), kink.r.conjugate(), -kink.delta, x0, kink.basis, kink)
+    return _match_kink(bg, sp, x0)
+
+
+def _match_kink(bg: SolitonBackground, sp: SpectralPoint, x0: float) -> ScatteringData:
+    """match_coefficients for the kink.  W(u2_first, u2_second) is numerical, not
+    the closed form of spectrum.c1_bound_indicator: its rounding cancels against
+    the numerator's in c1 and c2, which keeps unitarity at large k/M."""
     basis = (
         build_solution(Family.U1_FIRST, bg, sp),
         build_solution(Family.U2_FIRST, bg, sp),
@@ -107,15 +121,31 @@ def match_coefficients(
 
 
 def matched_u(data: ScatteringData, x: float):
-    """The globally matched solution: the transmitted frame u1 on its side of
-    x0 (x >= x0 for the kink, x <= x0 for the antikink), c1 u2 + c2 u2b on the
-    other."""
-    sol1, sol2, sol2b = data.basis
-    if sol1.background.K * (x - data.x0) >= 0:
-        return eval_u(sol1, x)
-    u_a, du_a = eval_u(sol2, x)
-    u_b, du_b = eval_u(sol2b, x)
-    return data.c1 * u_a + data.c2 * u_b, data.c1 * du_a + data.c2 * du_b
+    """The globally matched solution (u, u'): the transmitted frame u1 on its
+    side of x0 (x >= x0 for the kink, x <= x0 for the antikink), c1 u2 + c2 u2b
+    on the other.  For the antikink, (u, v) is the image of the kink's at -x and
+    u' = -i E u + M conj(ratio_squared(bg, x)) v follows from its Dirac system."""
+    kink, x_k = (data, x) if data.kink is None else (data.kink, -x)
+    sol1, sol2, sol2b = kink.basis
+    if x_k >= kink.x0:
+        u, du = eval_u(sol1, x_k)
+    else:
+        (u_a, du_a), (u_b, du_b) = eval_u(sol2, x_k), eval_u(sol2b, x_k)
+        u, du = kink.c1 * u_a + kink.c2 * u_b, kink.c1 * du_a + kink.c2 * du_b
+    if kink is data:
+        return u, du
+    bg, sp = sol1.background, sol1.spectral
+    [(u, v)] = conjugate_spinor(kink, (u, v_from_u(u, du, bg, sp, x_k)))
+    return u, 1j * sp.E * u + bg.M * ratio_squared(bg, x_k).conjugate() * v
+
+
+def conjugate_spinor(kink: ScatteringData, *pairs):
+    """The antikink's (u, v)(x) = lam (conj v_k, -conj u_k) for each of the
+    kink's (u_k, v_k)(-x) pairs, where kink is the antikink's ScatteringData.kink."""
+    bg, sp = kink.basis[0].background, kink.basis[0].spectral
+    k = sp.k.conjugate()
+    lam = 1j * bg.M * cmath.exp(-math.pi * k / (2.0 * bg.M)) / (k + sp.E)
+    return [(lam * v.conjugate(), -lam * u.conjugate()) for u, v in pairs]
 
 
 # ---------------------------------------------------------------------------

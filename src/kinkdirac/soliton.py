@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
@@ -62,8 +62,16 @@ class SolitonBackground:
             raise DomainError("coupling beta must be nonzero")
 
     @property
-    def is_kink(self) -> bool:
-        return self.K > 0
+    def kink(self) -> SolitonBackground:
+        """The kink K = +M of this mass and coupling (self for a kink)."""
+        return self if self.K > 0 else SolitonBackground(M=self.M, K=self.M, beta=self.beta)
+
+    def check_kink(self, stage: str) -> None:
+        """Raise DomainError naming the stage unless this is the kink: local
+        solutions are built for K = +M only, the antikink is its image."""
+        if self.K < 0:
+            raise DomainError(f"{stage}: local solutions are built for the kink K = +M only, "
+                              f"got K = {self.K}; antikink results are mapped from the kink at -E")
 
 
 @dataclass(frozen=True)
@@ -92,17 +100,13 @@ class SpectralPoint:
 
     @classmethod
     def bound(cls, bg: SolitonBackground, E: float):
-        """Bound continuation k = i kappa sign(K), kappa = sqrt(M^2 - E^2).
-
-        The sign makes e^{ikx} decay on the side where the transmitted-frame
-        Heun argument tends to 0 (x -> +inf for the kink, x -> -inf for the
-        antikink), so zeros of c1 are genuine two-sided decaying states.
-        """
+        """Bound continuation k = i kappa, kappa = sqrt(M^2 - E^2), of the kink:
+        e^{ikx} decays on the transmitted side x -> +inf, so zeros of c1 are
+        genuine two-sided decaying states."""
+        bg.check_kink("SpectralPoint.bound")
         if abs(E) >= bg.M:
             raise DomainError(f"bound energy must satisfy |E| < M, got E = {E}, M = {bg.M}")
-        kappa = math.sqrt(bg.M * bg.M - E * E)
-        sign = 1.0 if bg.K > 0 else -1.0
-        return cls(E=E, k=1j * kappa * sign)
+        return cls(E=E, k=1j * math.sqrt(bg.M * bg.M - E * E))
 
     def check_dispersion(self, bg: SolitonBackground, tol: float = 1e-10) -> None:
         lhs = self.E * self.E
@@ -141,7 +145,7 @@ def kink_profile(bg: SolitonBackground, x: float) -> float:
 
 
 def topological_charge(bg: SolitonBackground) -> float:
-    """(beta / 2 pi) (phi(+inf) - phi(-inf)): +1/2 for the kink, -1/2 for the antikink."""
+    """(beta / 2 pi) (phi(+inf) - phi(-inf)): -1/2 for the kink, +1/2 for the antikink."""
     return (bg.beta / (2.0 * math.pi)) * (kink_profile(bg, 1e6 / bg.M) - kink_profile(bg, -1e6 / bg.M))
 
 
@@ -204,11 +208,6 @@ def ratio_squared(bg: SolitonBackground, x: float) -> complex:
     return r * r
 
 
-def ansatz_phase(bg: SolitonBackground, x: float) -> complex:
-    """e^{2 i beta phi(x)} = -ratio_squared(x)."""
-    return -ratio_squared(bg, x)
-
-
 # ---------------------------------------------------------------------------
 # Local solutions
 # ---------------------------------------------------------------------------
@@ -228,7 +227,8 @@ def _base_params(family: Family, bg: SolitonBackground, sp: SpectralPoint) -> He
 
 
 def build_solution(family: Family, bg: SolitonBackground, sp: SpectralPoint) -> LocalSolution:
-    """Assemble the LocalSolution for one of the three families."""
+    """Assemble the LocalSolution for one of the three families of the kink."""
+    bg.check_kink("build_solution")
     sp.check_dispersion(bg)
     base = _base_params(family, bg, sp)
     quarter = math.pi * sp.k / (4.0 * bg.K)
@@ -258,6 +258,7 @@ def eval_u(sol: LocalSolution, x: float):
     the derivative uses the analytic chain rule through the map x -> z.
     """
     bg, sp = sol.background, sol.spectral
+    bg.check_kink("eval_u")
     z = map_to_z(sol.family, bg, x)
     h, dh = heun_eval(sol.params, z)
     log_pref = 1j * sp.k * x

@@ -24,7 +24,7 @@ import cmath
 import functools
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
 
@@ -74,12 +74,13 @@ def _real_phase(bg: SolitonBackground, E: float) -> complex:
 
 
 def c1_bound_indicator(bg: SolitonBackground, E: float) -> complex:
-    """c1 on the bound continuation k = i sqrt(M^2 - E^2) sign(K).
+    """c1 of the kink on the bound continuation k = i sqrt(M^2 - E^2).
 
     c1 = W(u1_first, u2_second) / (2ik e^{-pi k/K}) at x0 = 0.  Raises
     KinkDiracError when c1 is not e^{i pi (kappa/2M - 1)} times a real number
     to IMAG_TOL of the Wronskian term scale.
     """
+    bg.check_kink("c1_bound_indicator")
     if abs(E) >= bg.M * (1.0 - EDGE_MARGIN):
         raise DomainError(
             f"|E| = {abs(E)} too close to the continuum edge M = {bg.M} (kappa -> 0)"
@@ -106,9 +107,10 @@ def find_bound_states(bg: SolitonBackground, tol_root: float | None = None) -> l
     Every sign change of the real indicator over SCAN_GRID is refined by
     Brent's method.  Acceptance is scale-free: a root is kept when |c1| there
     is at most tol_root (default 1e-6) times the median |c1| over the grid.
+    The antikink's levels are the kink's with E_n -> -E_n, in ascending order.
     """
-    M = bg.M
-    c1 = functools.cache(lambda E: c1_bound_indicator(bg, E))
+    M, kink = bg.M, bg.kink
+    c1 = functools.cache(lambda E: c1_bound_indicator(kink, E))
 
     def f(E: float) -> float:
         return (c1(E) * _real_phase(bg, E)).real
@@ -128,6 +130,8 @@ def find_bound_states(bg: SolitonBackground, tol_root: float | None = None) -> l
                     E_n=E_n, kappa=math.sqrt(M * M - E_n * E_n),
                     residual=residual, index=len(out),
                 ))
+    if bg.K < 0:
+        return [replace(b, E_n=-b.E_n, index=i) for i, b in enumerate(reversed(out))]
     return out
 
 

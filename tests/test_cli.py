@@ -8,6 +8,7 @@ import pytest
 
 from kinkdirac import SolitonBackground, SpectralPoint, eval_u, match_coefficients
 from kinkdirac.cli import main
+from kinkdirac.oracle import residuals
 
 
 def run_csv(argv, tmp_path, name="out.csv"):
@@ -72,34 +73,55 @@ def test_seventeen_digit_round_trip(tmp_path):
 
 
 def test_scatter_shape_and_continuity(tmp_path):
-    code, rows, _, _ = run_csv(
-        ["scatter", "--M", "5", "--k", "2.5", "--samples", "51"], tmp_path
-    )
-    assert code == 0
-    assert len(rows) == 102
-    sides = {r["side"] for r in rows}
-    assert sides == {"incident", "transmitted"}
-    # Both sides sample x = 0; the matched solution must agree there.
-    inc0 = next(r for r in rows if r["side"] == "incident" and float(r["x"]) == 0.0)
-    tra0 = next(r for r in rows if r["side"] == "transmitted" and float(r["x"]) == 0.0)
-    for col in ("re_u", "im_u", "re_v", "im_v"):
-        assert float(inc0[col]) == pytest.approx(float(tra0[col]), abs=1e-9)
+    for sign in ("kink", "antikink"):
+        code, rows, _, _ = run_csv(
+            ["scatter", "--M", "5", "--k", "2.5", "--samples", "51", "--K-sign", sign], tmp_path
+        )
+        assert code == 0
+        assert len(rows) == 102
+        sides = {r["side"] for r in rows}
+        assert sides == {"incident", "transmitted"}
+        # Both sides sample x = 0; the matched solution must agree there.
+        inc0 = next(r for r in rows if r["side"] == "incident" and float(r["x"]) == 0.0)
+        tra0 = next(r for r in rows if r["side"] == "transmitted" and float(r["x"]) == 0.0)
+        for col in ("re_u", "im_u", "re_v", "im_v"):
+            assert float(inc0[col]) == pytest.approx(float(tra0[col]), abs=1e-9)
 
 
 def test_scatter_incident_decomposition(tmp_path):
-    code, rows, _, _ = run_csv(
-        ["scatter", "--M", "5", "--k", "2.5", "--samples", "21"], tmp_path
-    )
-    for r in rows:
-        if r["side"] != "incident":
-            assert math.isnan(float(r["re_u_inc"]))
-            continue
-        u = float(r["re_u"]) + 1j * float(r["im_u"])
-        parts = (
-            float(r["re_u_inc"]) + 1j * float(r["im_u_inc"])
-            + float(r["re_u_ref"]) + 1j * float(r["im_u_ref"])
+    for sign in ("kink", "antikink"):
+        code, rows, _, _ = run_csv(
+            ["scatter", "--M", "5", "--k", "2.5", "--samples", "21", "--K-sign", sign], tmp_path
         )
-        assert abs(u - parts) <= 1e-9 * max(abs(u), 1.0)
+        for r in rows:
+            if r["side"] != "incident":
+                assert math.isnan(float(r["re_u_inc"]))
+                continue
+            u = float(r["re_u"]) + 1j * float(r["im_u"])
+            parts = (
+                float(r["re_u_inc"]) + 1j * float(r["im_u_inc"])
+                + float(r["re_u_ref"]) + 1j * float(r["im_u_ref"])
+            )
+            assert abs(u - parts) <= 1e-9 * max(abs(u), 1.0)
+
+
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("sign", ["kink", "antikink"])
+def test_scatter_traces_solve_the_dirac_system(tmp_path, sign, branch):
+    # The printed (u, v) on the uniform grid left after dropping the
+    # duplicated x = 0 row, checked by the finite-difference residuals of the
+    # directly written K = +-M system.
+    code, rows, _, _ = run_csv(["scatter", "--M", "5", "--k", "2.5", "--samples", "201",
+                                "--K-sign", sign, "--E-branch", branch], tmp_path)
+    assert code == 0
+    points = {float(r["x"]): (complex(float(r["re_u"]), float(r["im_u"])),
+                              complex(float(r["re_v"]), float(r["im_v"]))) for r in rows}
+    xs = sorted(points)
+    assert len(xs) == 401
+    bg = SolitonBackground(M=5.0, K=5.0 if sign == "kink" else -5.0)
+    rep = residuals(xs, [points[x][0] for x in xs], [points[x][1] for x in xs],
+                    bg, SpectralPoint.scattering(bg, 2.5, branch))
+    assert rep.max_rel_residual <= 1e-6
 
 
 def test_scatter_evaluates_each_local_solution_once_per_row(tmp_path, monkeypatch):
@@ -161,6 +183,31 @@ def test_phase_sweep_negative_branch(tmp_path):
     assert float(rows[0]["T"]) == pytest.approx(0.0045010843, abs=1e-10)
 
 
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_antikink_phase_sweep_is_the_mapped_kink(tmp_path, branch):
+    # Antikink rows are the charge-conjugate images of the kink rows on the
+    # other branch: T, R and delta exactly, c1 and c2 by the map's factors.
+    other = "negative" if branch == "positive" else "positive"
+    argv = ["phase-sweep", "--M", "5", "--k-min", "0.25", "--k-max", "50", "--samples", "16"]
+    _, anti, _, _ = run_csv(argv + ["--K-sign", "antikink", "--E-branch", branch], tmp_path, "a.csv")
+    _, kink, _, _ = run_csv(argv + ["--E-branch", other], tmp_path, "k.csv")
+    assert len(anti) == len(kink) == 16
+    for a, b in zip(anti, kink):
+        k, E = float(a["k"]), float(a["E"])
+        assert float(b["k"]) == k and float(b["E"]) == -E
+        for col in ("T", "R"):
+            assert float(a[col]) == float(b[col])
+        assert float(a["delta"]) == -float(b["delta"])
+        c1 = complex(float(a["re_c1"]), float(a["im_c1"]))
+        c2 = complex(float(a["re_c2"]), float(a["im_c2"]))
+        c1_k = complex(float(b["re_c1"]), float(b["im_c1"]))
+        c2_k = complex(float(b["re_c2"]), float(b["im_c2"]))
+        mapped_c1 = math.exp(-math.pi * k / 5.0) * c1_k.conjugate()
+        mapped_c2 = math.exp(-2.0 * math.pi * k / 5.0) * (E + k) / (E - k) * c2_k.conjugate()
+        assert abs(c1 - mapped_c1) <= 1e-14 * abs(c1)
+        assert abs(c2 - mapped_c2) <= 1e-14 * abs(c2)
+
+
 def test_phase_sweep_degrees(tmp_path):
     argv = ["phase-sweep", "--M", "5", "--k-min", "0.25", "--k-max", "50",
             "--samples", "8"]
@@ -178,16 +225,19 @@ def test_phase_sweep_degrees(tmp_path):
 
 
 def test_bound_states_output(tmp_path):
-    code, payload = run_json(["bound-states", "--M", "5"], tmp_path)
-    assert code == 0
-    energies = sorted(r["E"] for r in payload["records"])
-    assert len(energies) == 2
-    assert abs(energies[0]) < 1e-6 * 5.0
-    assert energies[1] == pytest.approx(4.231807015500819, abs=1e-6 * 5.0)
-    lev = payload["checks"][0]
-    assert lev["name"] == "levinson"
-    assert lev["n_b"] == 1
-    assert lev["passed"] is True
+    # The antikink's levels are the kink's, negated, so it has no strictly
+    # positive level.
+    for sign, flip, n_b in (("kink", 1.0, 1), ("antikink", -1.0, 0)):
+        code, payload = run_json(["bound-states", "--M", "5", "--K-sign", sign], tmp_path)
+        assert code == 0
+        energies = sorted(flip * r["E"] for r in payload["records"])
+        assert len(energies) == 2
+        assert abs(energies[0]) < 1e-6 * 5.0
+        assert energies[1] == pytest.approx(4.231807015500819, abs=1e-6 * 5.0)
+        lev = payload["checks"][0]
+        assert lev["name"] == "levinson"
+        assert lev["n_b"] == n_b
+        assert lev["passed"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +246,14 @@ def test_bound_states_output(tmp_path):
 
 
 def test_validate_passes(tmp_path):
-    code, payload = run_json(["validate", "--M", "5"], tmp_path)
-    assert code == 0
-    assert payload["checks"]
-    assert all(c["passed"] for c in payload["checks"])
+    for sign in ("kink", "antikink"):
+        for branch in ("positive", "negative"):
+            code, payload = run_json(
+                ["validate", "--M", "5", "--K-sign", sign, "--E-branch", branch], tmp_path
+            )
+            assert code == 0
+            assert payload["checks"]
+            assert all(c["passed"] for c in payload["checks"])
 
 
 def test_validate_detects_injected_failure(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from kinkdirac import (
     Family,
     FitError,
-    IntegrationConfig,
     SpectralPoint,
     build_solution,
     eval_u,
@@ -20,7 +19,7 @@ from kinkdirac import (
     residuals,
     v_from_u,
 )
-from kinkdirac.oracle import TAIL_WINDOW, Trajectory, _fit_tail
+from kinkdirac.oracle import TAIL_WINDOW, _fit_tail
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +51,8 @@ def test_extract_scattering_rejects_contaminated_tail(bg5, sp25):
     xs = np.concatenate([np.linspace(-x_plus, -0.8 * x_plus, 64),
                          np.linspace(0.8 * x_plus, x_plus, 64)])
     u = np.exp(1j * 2.5 * xs) * (1.0 + 1e-3 * xs)
-    du = 1j * 2.5 * u
-    traj = Trajectory(x=xs, u=u, du=du)
     with pytest.raises(FitError):
-        extract_scattering(traj, bg5, sp25)
+        extract_scattering(xs, u, bg5, sp25)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +76,20 @@ def test_oracle_agreement_across_momenta(bg5):
         assert abs(c2 - data.c2) <= 1e-6 * max(abs(data.c2), abs(data.c1))
 
 
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_antikink_map_agrees_with_direct_oracle(bg5_anti, branch):
+    # The oracle integrates the K < 0 equation itself, so it checks the
+    # charge-conjugation map match_coefficients applies to the antikink.  c2
+    # is compared only where the oracle's tail fit resolves it (k <= M).
+    for kk in (0.1, 1.0, 10.0):
+        sp = SpectralPoint.scattering(bg5_anti, kk * bg5_anti.M, branch)
+        data = match_coefficients(bg5_anti, sp)
+        c1, c2 = oracle_scattering(bg5_anti, sp)
+        assert abs(data.c1 - c1) <= 1e-8 * abs(c1)
+        if kk <= 1.0:
+            assert abs(data.c2 - c2) <= 1e-8 * abs(c2)
+
+
 def test_integrator_convergence_is_monotone(bg5, sp25):
     # Tightening the tolerances moves the oracle towards the matched value.
     data = match_coefficients(bg5, sp25)
@@ -95,11 +106,10 @@ def test_integration_from_heun_initial_data(bg5, sp25):
     sol1 = build_solution(Family.U1_FIRST, bg5, sp25)
     x0, x1 = 6.0 / bg5.K, -6.0 / bg5.K
     u0, du0 = eval_u(sol1, x0)
-    cfg = IntegrationConfig(x_start=x0, x_end=x1, rel_tol=1e-12, abs_tol=1e-14)
-    traj = integrate_u(bg5, sp25, cfg, u0, du0, x_eval=[x0, x1])
+    _, u, _ = integrate_u(bg5, sp25, x0, x1, u0, du0, x_eval=[x0, x1], rel_tol=1e-12, abs_tol=1e-14)
     data = match_coefficients(bg5, sp25)
     u_exp, _ = matched_u(data, x1)
-    assert abs(traj.u[-1] - u_exp) <= 1e-6 * abs(u_exp)
+    assert abs(u[-1] - u_exp) <= 1e-6 * abs(u_exp)
 
 
 def test_bound_state_decay_both_directions(bg5):
@@ -110,12 +120,10 @@ def test_bound_state_decay_both_directions(bg5):
     sol1 = build_solution(Family.U1_FIRST, bg5, sp)
     kappa = math.sqrt(bg5.M**2 - E**2)
     u0, du0 = eval_u(sol1, 0.5)
-    cfg = IntegrationConfig(x_start=0.5, x_end=2.0, rel_tol=1e-12, abs_tol=1e-16)
-    traj = integrate_u(bg5, sp, cfg, u0, du0, x_eval=np.linspace(0.5, 2.0, 7))
-    mags = np.abs(traj.u)
-    for (xa, ua), (xb, ub) in zip(
-        zip(traj.x, mags), zip(traj.x[1:], mags[1:])
-    ):
+    xs, u, _ = integrate_u(bg5, sp, 0.5, 2.0, u0, du0, x_eval=np.linspace(0.5, 2.0, 7),
+                           rel_tol=1e-12, abs_tol=1e-16)
+    mags = np.abs(u)
+    for (xa, ua), (xb, ub) in zip(zip(xs, mags), zip(xs[1:], mags[1:])):
         assert ub / ua == pytest.approx(math.exp(-kappa * (xb - xa)), rel=5e-2)
 
 

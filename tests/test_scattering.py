@@ -43,22 +43,21 @@ def test_wronskian_of_plane_waves():
 def test_basis_wronskian_matches_abel_closed_form():
     # Abel's identity applied to u'' - 4iK sech(2Kx) u' + ... = 0 gives
     # W(x) = W(-inf) exp(int 4iK sech) with W(-inf) = -2ik e^{-pi k/K},
-    # hence W(0) = -2ik e^{-pi k/K} e^{i pi} = 2ik e^{-pi k/K}.  It holds on
-    # the bound continuation k = i kappa too, where c1_bound_indicator uses
-    # it; there the numerical W loses digits toward E = 0, where u2_first
-    # degenerates.
-    for K in (5.0, -5.0):
-        bg = SolitonBackground(M=5.0, K=K)
-        cases = [(SpectralPoint.scattering(bg, f * bg.M), 1e-10)
-                 for f in (1e-3, 0.1, 0.5, 1.4, 10.0)]
-        cases += [(SpectralPoint.bound(bg, f * bg.M), 1e-9)
-                  for f in (-0.95, -0.5, -0.1, 0.1, 0.5, 0.95)]
-        for sp, rel in cases:
-            s2 = build_solution(Family.U2_FIRST, bg, sp)
-            s2b = build_solution(Family.U2_SECOND, bg, sp)
-            w = wronskian(eval_u(s2, 0.0), eval_u(s2b, 0.0))
-            expected = 2j * sp.k * cmath.exp(-math.pi * sp.k / bg.K)
-            assert abs(w - expected) < rel * abs(expected), (sp, w, expected)
+    # hence W(0) = -2ik e^{-pi k/K} e^{i pi} = 2ik e^{-pi k/K}, on both energy
+    # branches.  It holds on the bound continuation k = i kappa too, where
+    # c1_bound_indicator uses it; there the numerical W loses digits toward
+    # E = 0, where u2_first degenerates.
+    bg = SolitonBackground(M=5.0, K=5.0)
+    cases = [(SpectralPoint.scattering(bg, f * bg.M, branch), 1e-10)
+             for f in (1e-3, 0.1, 0.5, 1.4, 10.0) for branch in ("positive", "negative")]
+    cases += [(SpectralPoint.bound(bg, f * bg.M), 1e-9)
+              for f in (-0.95, -0.5, -0.1, 0.1, 0.5, 0.95)]
+    for sp, rel in cases:
+        s2 = build_solution(Family.U2_FIRST, bg, sp)
+        s2b = build_solution(Family.U2_SECOND, bg, sp)
+        w = wronskian(eval_u(s2, 0.0), eval_u(s2b, 0.0))
+        expected = 2j * sp.k * cmath.exp(-math.pi * sp.k / bg.K)
+        assert abs(w - expected) < rel * abs(expected), (sp, w, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +110,16 @@ def test_unitarity_over_k_values(bg5):
         sp = SpectralPoint.scattering(bg5, k)
         data = match_coefficients(bg5, sp)
         assert abs(data.T + data.R - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("kk", [35.0, 45.0, 50.0])
+def test_antikink_negative_branch_unitary_at_large_k(kk):
+    # The antikink's negative branch is the image of the kink's positive
+    # branch, so r keeps the kink's damping gauge factor e^{-pi k/2M}.
+    for M in (1.0, 3.0):
+        bg = SolitonBackground(M=M, K=-M)
+        data = match_coefficients(bg, SpectralPoint.scattering(bg, kk * M, "negative"))
+        assert abs(data.T + data.R - 1.0) <= 1e-10
 
 
 def test_transmission_grows_with_k(bg5):

@@ -1,6 +1,7 @@
 """Tests for the kink background and the four local spinor solutions."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from kinkdirac import (
     v_from_u,
     wronskian,
 )
-from kinkdirac.oracle import IntegrationConfig, integrate_u
+from kinkdirac.oracle import integrate_u
+from kinkdirac.scattering import match_coefficients, matched_u
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +163,25 @@ def test_u2_second_reflected_asymptotics(bg5, sp25):
 
 
 def test_antikink_asymptotics(bg5_anti):
+    # The charge-conjugate image of the kink's u1 is the antikink's
+    # transmitted wave e^{pi k/4K} e^{ikx}, on the side x -> -inf for K < 0.
     sp = SpectralPoint.scattering(bg5_anti, 2.5)
-    sol = build_solution(Family.U1_FIRST, bg5_anti, sp)
-    x = 30.0 / (2 * bg5_anti.K)  # transmitted side is x -> -inf for K < 0
-    assert abs(_plane_wave_ratio(sol, x) - cmath.exp(math.pi * 2.5 / (4 * bg5_anti.K))) < 1e-10
+    data = match_coefficients(bg5_anti, sp)
+    x = 30.0 / (2 * bg5_anti.K)
+    u, _ = matched_u(data, x)
+    ratio = u / cmath.exp(1j * 2.5 * x)
+    assert abs(ratio - cmath.exp(math.pi * 2.5 / (4 * bg5_anti.K))) < 1e-10
+
+
+def test_local_solutions_are_built_for_the_kink_only(bg5_anti, bg5, sp25):
+    sp = SpectralPoint.scattering(bg5_anti, 2.5)
+    with pytest.raises(DomainError, match=r"^build_solution: .* kink K = \+M only, got K = -5\.0"):
+        build_solution(Family.U1_FIRST, bg5_anti, sp)
+    with pytest.raises(DomainError, match=r"^SpectralPoint\.bound: "):
+        SpectralPoint.bound(bg5_anti, 1.0)
+    sol = dataclasses.replace(build_solution(Family.U1_FIRST, bg5, sp25), background=bg5_anti)
+    with pytest.raises(DomainError, match=r"^eval_u: "):
+        eval_u(sol, 0.0)
 
 
 def test_each_family_satisfies_u1x_equation(bg5, sp25):
@@ -175,11 +192,11 @@ def test_each_family_satisfies_u1x_equation(bg5, sp25):
         sgn = 1.0 if family.is_u1 else -1.0
         x0, x1 = sgn * 0.1, sgn * 0.6
         u0, du0 = eval_u(sol, x0)
-        cfg = IntegrationConfig(x_start=x0, x_end=x1, rel_tol=1e-12, abs_tol=1e-14)
-        traj = integrate_u(bg5, sp25, cfg, u0, du0, x_eval=[x0, x1])
+        _, u, du = integrate_u(bg5, sp25, x0, x1, u0, du0, x_eval=[x0, x1],
+                               rel_tol=1e-12, abs_tol=1e-14)
         u1, du1 = eval_u(sol, x1)
-        assert abs(traj.u[-1] - u1) <= 1e-9 * abs(u1)
-        assert abs(traj.du[-1] - du1) <= 1e-9 * abs(du1)
+        assert abs(u[-1] - u1) <= 1e-9 * abs(u1)
+        assert abs(du[-1] - du1) <= 1e-9 * abs(du1)
 
 
 def test_u2_basis_wronskian_bounded_away_from_zero(bg5):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kinkdirac import (
+    DomainError,
     Family,
     KinkDiracError,
     SolitonBackground,
@@ -112,11 +113,11 @@ def test_levinson_light_fermion():
     assert abs(jump - math.pi / 2) < 0.05 * math.pi
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_indicator_is_real_up_to_known_phase(sign):
+def test_indicator_is_real_up_to_known_phase():
     # c1 = e^{i pi (kappa/2M - 1)} f(E) with f real, measured against the
-    # scale of the terms of W(u1_first, u2_second).
-    bg = SolitonBackground(M=5.0, K=sign * 5.0)
+    # scale of the terms of W(u1_first, u2_second).  The antikink's indicator
+    # is the kink's at -E, which this symmetric grid covers.
+    bg = SolitonBackground(M=5.0, K=5.0)
     for E in np.linspace(-0.999 * bg.M, 0.999 * bg.M, 21):
         sp = SpectralPoint.bound(bg, E)
         p1 = eval_u(build_solution(Family.U1_FIRST, bg, sp), 0.0)
@@ -127,10 +128,15 @@ def test_indicator_is_real_up_to_known_phase(sign):
         assert abs(f.imag) <= 1e-9 * scale
 
 
-def test_indicator_at_zero_mode_vanishes(bg5, bg5_anti):
+def test_indicator_at_zero_mode_vanishes(bg5):
     # E = 0 is an ordinary point of the indicator: no degenerate factor enters.
+    # The antikink's zero mode is the kink's at -0 = 0.
     assert abs(c1_bound_indicator(bg5, 0.0)) <= 1e-12
-    assert abs(c1_bound_indicator(bg5_anti, 0.0)) <= 1e-12
+
+
+def test_indicator_rejects_the_antikink(bg5_anti):
+    with pytest.raises(DomainError, match=r"^c1_bound_indicator: .* kink K = \+M only"):
+        c1_bound_indicator(bg5_anti, 1.0)
 
 
 def test_indicator_rejects_complex_c1(bg5, monkeypatch):
