@@ -17,6 +17,7 @@ from kinkdirac import (
     eval_u,
     find_bound_states,
     levinson_check,
+    match_coefficients,
 )
 from kinkdirac import spectrum
 
@@ -113,18 +114,29 @@ def test_levinson_light_fermion():
     assert abs(jump - math.pi / 2) < 0.05 * math.pi
 
 
-def test_indicator_is_real_up_to_known_phase():
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_indicator_is_real_up_to_known_phase(sign):
     # c1 = e^{i pi (kappa/2M - 1)} f(E) with f real, measured against the
-    # scale of the terms of W(u1_first, u2_second).  The antikink's indicator
-    # is the kink's at -E, which this symmetric grid covers.
-    bg = SolitonBackground(M=5.0, K=5.0)
+    # scale of the terms of W(u1_first, u2_second).  The antikink's c1 on its
+    # bound continuation k = -i kappa is the image e^{-pi k/M} conj c1_k of the
+    # kink's at -E; match_coefficients must agree with it wherever its
+    # numerical basis is usable (u2_first degenerates at E = 0).
+    bg = SolitonBackground(M=5.0, K=sign * 5.0)
+    kink = bg.kink
     for E in np.linspace(-0.999 * bg.M, 0.999 * bg.M, 21):
-        sp = SpectralPoint.bound(bg, E)
-        p1 = eval_u(build_solution(Family.U1_FIRST, bg, sp), 0.0)
-        p2b = eval_u(build_solution(Family.U2_SECOND, bg, sp), 0.0)
+        sp = SpectralPoint.bound(kink, sign * E)
+        p1 = eval_u(build_solution(Family.U1_FIRST, kink, sp), 0.0)
+        p2b = eval_u(build_solution(Family.U2_SECOND, kink, sp), 0.0)
         scale = (abs(p1[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p1[1])) / (2.0 * abs(sp.k))
         kappa = math.sqrt(bg.M**2 - E**2)
-        f = c1_bound_indicator(bg, E) * cmath.exp(-1j * math.pi * (kappa / (2 * bg.M) - 1))
+        c1 = c1_bound_indicator(kink, sign * E)
+        if sign < 0:
+            k = -1j * kappa
+            c1 = cmath.exp(-math.pi * k / bg.M) * c1.conjugate()
+            if E != 0.0:
+                matched = match_coefficients(bg, SpectralPoint(E=E, k=k)).c1
+                assert abs(matched - c1) <= 1e-9 * scale
+        f = c1 * cmath.exp(-1j * math.pi * (kappa / (2 * bg.M) - 1))
         assert abs(f.imag) <= 1e-9 * scale
 
 
