@@ -260,12 +260,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     c1o, c2o = oracle_scattering(bg, sp)
     add("oracle_c1", abs(data.c1 - c1o) / abs(c1o), 1e-6)
     add("oracle_c2", abs(data.c2 - c2o) / abs(c2o), 1e-6)
-    # Unitarity across a small sweep.
-    worst_u = 0.0
-    for frac in (0.1, 0.2, 0.5, 1.0, 2.0):
-        d = match_coefficients(bg, SpectralPoint.scattering(bg, frac * bg.M))
-        worst_u = max(worst_u, abs(d.T + d.R - 1.0))
-    add("unitarity", worst_u, 1e-6)
+    # Unitarity across a small sweep on the requested branch.
+    _, _, swept = unwrap_sweep(bg, [frac * bg.M for frac in (0.1, 0.2, 0.5, 1.0, 2.0)], cfg.E_branch)
+    add("unitarity", max(abs(d.T + d.R - 1.0) for d in swept.values()), 1e-6)
     # Matching-point invariance.
     c1s = [
         match_coefficients(bg, sp, x0 / bg.M).c1

@@ -12,6 +12,11 @@ with epsilon fixed by the Fuchs relation epsilon = alpha+beta+1-gamma-delta
 (so z = infinity stays a regular singular point).  The principal branch is
 used for all fractional powers; the branch cut runs along the real axis from
 a to +infinity.
+
+Each function takes one parameter set or a batch: any of q, alpha, beta,
+gamma, delta a 1-D numpy array.  A batch shares a and z, so the path and its
+steps, and runs each loop once over all elements; an element stops adding
+terms where it would stop alone.  One set stays on Python complex arithmetic.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -47,9 +55,32 @@ TOL = 1e-13
 
 _TINY = 1e-300
 
+# numpy's names for the same functions on Python numbers.
+_ONE = SimpleNamespace(all=bool, any=bool, maximum=max, exp=cmath.exp, sqrt=cmath.sqrt,
+                       angle=cmath.phase, hypot=math.hypot, isfinite=cmath.isfinite,
+                       asarray=lambda v, dtype: dtype(v))
 
-def _is_finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+def _xp(*values):
+    """numpy if any value is a numpy array (a batch), else _ONE: the one type
+    check.  Stopping and error tests ask through it whether they hold for
+    all (or any) elements."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            return np
+    return _ONE
+
+
+def _first_failure(ok, *values):
+    """The values, as Python numbers, at the first element where ok fails."""
+    i = np.flatnonzero(np.logical_not(ok))[0]
+    return [np.broadcast_to(v, np.shape(ok)).flat[i].item() for v in values]
+
+
+def _element(params: HeunParams, ok) -> HeunParams:
+    """The parameter set of the first element where ok fails, for error messages."""
+    return HeunParams(params.a, *_first_failure(ok, params.q, params.alpha, params.beta,
+                                                params.gamma, params.delta))
 
 
 @dataclass(frozen=True)
@@ -63,11 +94,14 @@ class HeunParams:
     gamma: complex
     delta: complex
     epsilon: complex = field(init=False)
+    _ops: object = field(init=False, repr=False, compare=False)  # _xp of this set or batch
 
     def __post_init__(self):
+        xp = _xp(self.q, self.alpha, self.beta, self.gamma, self.delta)
+        object.__setattr__(self, "_ops", xp)
         for name in ("a", "q", "alpha", "beta", "gamma", "delta"):
-            v = complex(getattr(self, name))
-            if not _is_finite(v):
+            v = complex(self.a) if name == "a" else xp.asarray(getattr(self, name), complex)
+            if not xp.all(xp.isfinite(v)):
                 raise DomainError(f"non-finite Heun parameter {name} = {v}")
             object.__setattr__(self, name, v)
         if self.a == 0 or self.a == 1:
@@ -87,7 +121,8 @@ class HeunParams:
 
 @dataclass(frozen=True)
 class SeriesState:
-    """Coefficients and diagnostics of one power-series evaluation."""
+    """Coefficients and diagnostics of one power-series evaluation (truncated
+    is per element for a batch in which some element was cut)."""
 
     coefficients: tuple[complex, ...]
     n_used: int
@@ -121,11 +156,14 @@ def check_gamma_nondegenerate(params: HeunParams, second: bool = False) -> None:
     series has gamma = 0, -1, ...
     """
     g = params.gamma
-    nearest = round(g.real)
-    if (nearest >= 1 if second else nearest <= 0) and abs(g - nearest) < GAMMA_INTEGER_TOL:
+    nearest = (g.real + 0.5) // 1
+    ok = (nearest < 1 if second else nearest > 0) | (abs(g - nearest) >= GAMMA_INTEGER_TOL)
+    if not params._ops.all(ok):
         stage = "heun_second_solution" if second else "heun_series"
+        g, nearest = _first_failure(ok, g, nearest)
         raise DegenerateGammaError(
-            f"{stage}: gamma = {g} is within {GAMMA_INTEGER_TOL} of the degenerate value {nearest}"
+            f"{stage}: gamma = {g} is within {GAMMA_INTEGER_TOL} of the degenerate value "
+            f"{nearest:.0f} ({_element(params, ok)})"
         )
 
 
@@ -133,7 +171,8 @@ def heun_series(params: HeunParams, z: complex):
     """Evaluate (Hl(z), Hl'(z)) by the defining power series about z = 0.
 
     Returns (value, derivative, SeriesState).  Converged when three
-    consecutive terms fall below TOL * |partial sum|.
+    consecutive terms fall below TOL * |partial sum|; each element of a batch
+    adds no terms after that, and the sum ends when every element has.
     """
     z = complex(z)
     rad = params.radius
@@ -142,12 +181,13 @@ def heun_series(params: HeunParams, z: complex):
             f"|z| = {abs(z):.6g} exceeds {DISK_MARGIN} * min(|a|, 1) = {DISK_MARGIN * rad:.6g}"
         )
     check_gamma_nondegenerate(params)
+    every, some, maximum = params._ops.all, params._ops.any, params._ops.maximum
 
     coeffs = [1.0 + 0j]
     h_prev, h_cur = 0j, 1.0 + 0j
     value = 1.0 + 0j
     deriv = 0j
-    zn = 1.0 + 0j  # z**n
+    zn = 1.0 + 0j  # z**n, zero for the elements that have stopped
     streak = 0
     truncated = False
     # R_{n-1}, R_n and P_n carried forward; each term needs one new call.
@@ -156,28 +196,32 @@ def heun_series(params: HeunParams, z: complex):
     for n in range(N_MAX_SERIES):
         R_next, P_next, Q_next = recurrence_coeffs(params, n + 1)
         h_next = -(R_prev * h_prev + P_n * h_cur) / Q_next
-        if R_n == 0 and abs(h_next) < 1e-12 * max(
-            abs(h_cur), abs(h_prev), 1e-300
-        ):
+        if not every(R_n):
             # Polynomial case: h_{n+1} = 0 (to rounding) with alpha or beta = -n
-            # kills the whole tail of the recurrence.
-            coeffs.append(0j)
-            return value, deriv, SeriesState(tuple(coeffs), n + 1, True)
+            # kills the whole tail of the recurrence; a cut element of a batch
+            # continues with exact zeros.
+            cut = (R_n == 0) & (abs(h_next) < 1e-12 * maximum(maximum(abs(h_cur), abs(h_prev)), 1e-300))
+            if some(cut):
+                h_next = h_next - h_next * cut
+                truncated = truncated | cut
+                if every(truncated):
+                    coeffs.append(h_next)
+                    return value, deriv, SeriesState(tuple(coeffs), n + 1, truncated)
         coeffs.append(h_next)
         term = h_next * zn * z
         value += term
         deriv += (n + 1) * h_next * zn
         zn *= z
-        if abs(term) < TOL * max(abs(value), _TINY):
-            streak += 1
-            if streak >= 3:
+        streak = (streak + 1) * (abs(term) < TOL * maximum(abs(value), _TINY))
+        if some(streak >= 3):
+            if every(streak >= 3):
                 return value, deriv, SeriesState(tuple(coeffs), n + 1, truncated)
-        else:
-            streak = 0
+            zn = zn * (streak < 3)
         h_prev, h_cur = h_cur, h_next
         R_prev, R_n, P_n = R_n, R_next, P_next
     raise ConvergenceError(
-        f"Heun series did not converge within {N_MAX_SERIES} terms at z = {z}"
+        f"heun_series: no convergence within {N_MAX_SERIES} terms at z = {z} "
+        f"for {_element(params, streak >= 3)}"
     )
 
 
@@ -212,7 +256,7 @@ def heun_second_solution(params: HeunParams, z: complex):
     check_gamma_nondegenerate(params, second=True)
     h, dh = heun_eval(second_solution_params(params), z)
     power = 1 - params.gamma
-    w = cmath.exp(power * cmath.log(z))
+    w = params._ops.exp(power * cmath.log(z))
     value = w * h
     deriv = w * (dh + power / z * h)
     return value, deriv
@@ -347,11 +391,12 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
     if A[0] == 0:
         raise PathError(f"Taylor expansion point {z0} is a singularity")
 
+    every, some, maximum = params._ops.all, params._ops.any, params._ops.maximum
     t = z1 - z0
     c = [value, deriv]
     val = c[0] + c[1] * t
     dv = c[1]
-    tn = t  # t**(m+1) entering iteration m
+    tn = t  # t**(m+1) entering iteration m, zero for the elements that have stopped
     streak = 0
     for m in range(N_MAX_TAYLOR):
         s = 0j
@@ -366,16 +411,15 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
         tn *= t  # now t**(m+2)
         term = c_new * tn
         val += term
-        dv += (m + 2) * c_new * (tn / t) if t != 0 else 0j
-        if abs(term) < TOL * max(abs(val), _TINY):
-            streak += 1
-            if streak >= 3:
+        dv = dv + ((m + 2) * c_new * (tn / t) if t != 0 else 0j)  # not +=: dv may be c[1]
+        streak = (streak + 1) * (abs(term) < TOL * maximum(abs(val), _TINY))
+        if some(streak >= 3):
+            if every(streak >= 3):
                 return val, dv
-        else:
-            streak = 0
+            tn = tn * (streak < 3)
     raise ConvergenceError(
-        f"Taylor re-expansion failed to converge from {z0} to {z1} "
-        f"within {N_MAX_TAYLOR} terms"
+        f"taylor_step: no convergence from {z0} to {z1} within {N_MAX_TAYLOR} terms "
+        f"for {_element(params, streak >= 3)}"
     )
 
 

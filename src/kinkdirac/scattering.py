@@ -35,7 +35,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DegenerateBasisError
+from .heun import HeunParams, _first_failure, _xp
 from .soliton import (Family, LocalSolution, SolitonBackground, SpectralPoint, build_solution,
                       eval_u, ratio_squared, v_from_u)
 
@@ -87,17 +90,25 @@ def match_coefficients(
     the charge-conjugate image of the kink matched at (-E, conj k, -x0).
     """
     if bg.K < 0:
-        kink = _match_kink(bg.kink, SpectralPoint(E=-sp.E, k=sp.k.conjugate()), -x0)
-        E, k, f = sp.E, sp.k, cmath.exp(-math.pi * sp.k / bg.M)
-        return ScatteringData(f * kink.c1.conjugate(), f * f * (E + k) / (E - k) * kink.c2.conjugate(),
-                              kink.t.conjugate(), kink.r.conjugate(), -kink.delta, x0, kink.basis, kink)
+        return _conjugate(_match_kink(bg.kink, SpectralPoint(E=-sp.E, k=sp.k.conjugate()), -x0))
     return _match_kink(bg, sp, x0)
 
 
+def _conjugate(kink: ScatteringData) -> ScatteringData:
+    """The antikink's ScatteringData as the image of the kink's at (-E, conj k, -x0)."""
+    bg, sp = kink.basis[0].background, kink.basis[0].spectral
+    E, k = -sp.E, sp.k.conjugate()
+    f = cmath.exp(-math.pi * k / bg.M)
+    return ScatteringData(f * kink.c1.conjugate(), f * f * (E + k) / (E - k) * kink.c2.conjugate(),
+                          kink.t.conjugate(), kink.r.conjugate(), -kink.delta, -kink.x0,
+                          kink.basis, kink)
+
+
 def _match_kink(bg: SolitonBackground, sp: SpectralPoint, x0: float) -> ScatteringData:
-    """match_coefficients for the kink.  W(u2_first, u2_second) is numerical, not
-    the closed form of spectrum.c1_bound_indicator: its rounding cancels against
-    the numerator's in c1 and c2, which keeps unitarity at large k/M."""
+    """match_coefficients for the kink, at one (E, k) or, with E and k arrays,
+    at a batch of them.  W(u2_first, u2_second) is numerical, not the closed
+    form of spectrum.c1_bound_indicator: its rounding cancels against the
+    numerator's in c1 and c2, which keeps unitarity at large k/M."""
     basis = (
         build_solution(Family.U1_FIRST, bg, sp),
         build_solution(Family.U2_FIRST, bg, sp),
@@ -106,18 +117,35 @@ def _match_kink(bg: SolitonBackground, sp: SpectralPoint, x0: float) -> Scatteri
     p1, p2, p2b = (eval_u(sol, x0) for sol in basis)
     w_den = wronskian(p2, p2b)
     scale = abs(p2[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p2[1])
-    if abs(w_den) < BASIS_THRESHOLD * scale:
+    xp, ok = _xp(w_den), abs(w_den) >= BASIS_THRESHOLD * scale
+    if not xp.all(ok):
+        w, scale, k = _first_failure(ok, abs(w_den), scale, sp.k)
         raise DegenerateBasisError(
-            f"|W(u2_first, u2_second)| = {abs(w_den):.3g} is below "
-            f"{BASIS_THRESHOLD:.0e} of the solution scale {scale:.3g} (k too close to 0?)"
+            f"|W(u2_first, u2_second)| = {w:.3g} is below {BASIS_THRESHOLD:.0e} of the "
+            f"solution scale {scale:.3g} at k = {k.real:.6g} (k too close to 0?)"
         )
     c1 = wronskian(p1, p2b) / w_den
     c2 = -wronskian(p1, p2) / w_den
     half = math.pi / (2.0 * bg.K)
-    t = cmath.exp(half * sp.k) / c1
-    r = cmath.sqrt((sp.E - sp.k) / (sp.E + sp.k)) * (c2 / c1) * cmath.exp(-half * sp.k)
-    delta = -cmath.phase(c1)
+    t = xp.exp(half * sp.k) / c1
+    r = xp.sqrt((sp.E - sp.k) / (sp.E + sp.k)) * (c2 / c1) * xp.exp(-half * sp.k)
+    delta = -xp.angle(c1)
     return ScatteringData(c1=c1, c2=c2, t=t, r=r, delta=delta, x0=x0, basis=basis)
+
+
+def _rows(batch: ScatteringData) -> list[ScatteringData]:
+    """The ScatteringData of each (E, k) of a batch matched by _match_kink, each
+    with its element of the batch's basis."""
+    def split(sol: LocalSolution) -> list[LocalSolution]:
+        p, sp = sol.params, sol.spectral
+        cols = (np.broadcast_to(v, sp.k.shape).tolist() for v in (
+            p.q, p.alpha, p.beta, p.gamma, p.delta, sp.E, sp.k, sol.amp, sol.z_power))
+        return [LocalSolution(sol.family, HeunParams(p.a, *c[:5]), sol.background,
+                              SpectralPoint(*c[5:7]), *c[7:]) for c in zip(*cols)]
+
+    cols = (v.tolist() for v in (batch.c1, batch.c2, batch.t, batch.r, batch.delta))
+    bases = zip(*map(split, batch.basis))
+    return [ScatteringData(*c, batch.x0, basis) for *c, basis in zip(*cols, bases)]
 
 
 def matched_u(data: ScatteringData, x: float):
@@ -165,7 +193,8 @@ def _wrap(angle: float) -> float:
 
 def unwrap_sweep(bg: SolitonBackground, ks, branch: str = "positive"):
     """Compute ScatteringData over a k-grid on one energy branch, with
-    continuously unwrapped delta.
+    continuously unwrapped delta.  The requested grid is matched as one batch,
+    and so are the midpoints of each refinement pass.
 
     The phase branch is anchored at the largest k (where delta is nearest 0, the
     Levinson reference) and propagated downward by nearest-branch selection.
@@ -175,29 +204,28 @@ def unwrap_sweep(bg: SolitonBackground, ks, branch: str = "positive"):
     Returns (requested_ks, unwrapped_deltas, data_by_k).
     """
 
-    def match(k: float) -> ScatteringData:
-        return match_coefficients(bg, SpectralPoint.scattering(bg, k, branch))
+    def match(ks: list[float]) -> dict[float, ScatteringData]:
+        # One batch per family; antikink rows are mapped from the kink's per point.
+        sp = SpectralPoint.scattering(bg, np.array(ks), branch)
+        if bg.K > 0:
+            return dict(zip(ks, _rows(_match_kink(bg, sp, 0.0))))
+        rows = _rows(_match_kink(bg.kink, SpectralPoint(E=-sp.E, k=sp.k.conjugate()), 0.0))
+        return dict(zip(ks, map(_conjugate, rows)))
 
     requested = sorted(set(float(k) for k in ks))
     grid = list(requested)
-    data = {k: match(k) for k in grid}
+    data = match(grid)
     budget = MAX_REFINE
     while budget > 0:
-        inserted = False
-        i = 0
-        while i < len(grid) - 1 and budget > 0:
-            d = _wrap(data[grid[i + 1]].delta - data[grid[i]].delta)
-            if abs(d) >= math.pi / 2:
-                mid = math.sqrt(grid[i] * grid[i + 1])
-                if mid not in data and grid[i + 1] - grid[i] > 1e-12 * grid[i + 1]:
-                    data[mid] = match(mid)
-                    grid.insert(i + 1, mid)
-                    inserted = True
-                    budget -= 1
-                    continue
-            i += 1
-        if not inserted:
+        # Each pass matches the midpoints of every gap whose phase still jumps.
+        mids = [math.sqrt(a * b) for a, b in zip(grid, grid[1:])
+                if abs(_wrap(data[b].delta - data[a].delta)) >= math.pi / 2 and b - a > 1e-12 * b]
+        mids = [m for m in mids if m not in data][:budget]
+        if not mids:
             break
+        data.update(match(mids))
+        grid = sorted(grid + mids)
+        budget -= len(mids)
     # Anchor at the largest k, propagate the branch downward.
     unwrapped = {grid[-1]: data[grid[-1]].delta}
     for i in range(len(grid) - 2, -1, -1):

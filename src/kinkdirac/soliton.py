@@ -23,12 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .heun import (
-    HeunParams,
-    check_gamma_nondegenerate,
-    heun_eval,
-    second_solution_params,
-)
+from .heun import (HeunParams, _first_failure, _xp, check_gamma_nondegenerate, heun_eval,
+                   second_solution_params)
 
 HALF = 0.5 + 0j  # the third Heun singularity for this background
 
@@ -79,24 +75,25 @@ class SpectralPoint:
     """Energy/momentum pair on the dispersion relation E^2 = M^2 + k^2.
 
     k is real for scattering states; k = i*kappa (kappa > 0) for the
-    bound-state continuation.
+    bound-state continuation.  E and k are numpy arrays for a batch.
     """
 
     E: float
     k: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "E", float(self.E))
-        object.__setattr__(self, "k", complex(self.k))
+        xp = _xp(self.E, self.k)
+        object.__setattr__(self, "E", xp.asarray(self.E, float))
+        object.__setattr__(self, "k", xp.asarray(self.k, complex))
 
     @classmethod
     def scattering(cls, bg: SolitonBackground, k: float, branch: str = "positive"):
-        E = math.hypot(bg.M, k)
+        E = _xp(k).hypot(bg.M, k)
         if branch == "negative":
             E = -E
         elif branch != "positive":
             raise ValueError(f"unknown energy branch {branch!r}")
-        return cls(E=E, k=complex(k))
+        return cls(E=E, k=k)
 
     @classmethod
     def bound(cls, bg: SolitonBackground, E: float):
@@ -104,18 +101,20 @@ class SpectralPoint:
         e^{ikx} decays on the transmitted side x -> +inf, so zeros of c1 are
         genuine two-sided decaying states."""
         bg.check_kink("SpectralPoint.bound")
-        if abs(E) >= bg.M:
+        xp, ok = _xp(E), abs(E) < bg.M
+        if not xp.all(ok):
+            E = _first_failure(ok, E)[0]
             raise DomainError(f"bound energy must satisfy |E| < M, got E = {E}, M = {bg.M}")
-        return cls(E=E, k=1j * math.sqrt(bg.M * bg.M - E * E))
+        return cls(E=E, k=1j * xp.sqrt(bg.M * bg.M - E * E))
 
     def check_dispersion(self, bg: SolitonBackground, tol: float = 1e-10) -> None:
         lhs = self.E * self.E
         rhs = bg.M * bg.M + self.k * self.k
-        scale = max(abs(lhs), abs(rhs), bg.M * bg.M)
-        if abs(lhs - rhs) > tol * scale:
-            raise DomainError(
-                f"(E, k) = ({self.E}, {self.k}) violates E^2 = M^2 + k^2 for M = {bg.M}"
-            )
+        xp = _xp(lhs, rhs)
+        ok = abs(lhs - rhs) <= tol * xp.maximum(xp.maximum(abs(lhs), abs(rhs)), bg.M * bg.M)
+        if not xp.all(ok):
+            E, k = _first_failure(ok, self.E, self.k)
+            raise DomainError(f"(E, k) = ({E}, {k}) violates E^2 = M^2 + k^2 for M = {bg.M}")
 
 
 @dataclass(frozen=True)
@@ -232,12 +231,12 @@ def build_solution(family: Family, bg: SolitonBackground, sp: SpectralPoint) -> 
     sp.check_dispersion(bg)
     base = _base_params(family, bg, sp)
     quarter = math.pi * sp.k / (4.0 * bg.K)
-    try:
-        amp = cmath.exp(quarter) if family.is_u1 else cmath.exp(-quarter)
-    except OverflowError:
-        raise DomainError(
-            f"build_solution: gauge factor e^(+-pi k/4K) overflows at k/M = {abs(sp.k) / bg.M:.6g}"
-        ) from None
+    power = quarter if family.is_u1 else -quarter
+    xp, ok = _xp(power), power.real < 709.78  # e^709.78 is about the largest double
+    if not xp.all(ok):
+        raise DomainError(f"build_solution: gauge factor e^(+-pi k/4K) overflows at "
+                          f"k/M = {abs(_first_failure(ok, sp.k)[0]) / bg.M:.6g}")
+    amp = xp.exp(power)
     if family is Family.U2_SECOND:
         check_gamma_nondegenerate(base, second=True)
         params = second_solution_params(base)
@@ -262,9 +261,9 @@ def eval_u(sol: LocalSolution, x: float):
     z = map_to_z(sol.family, bg, x)
     h, dh = heun_eval(sol.params, z)
     log_pref = 1j * sp.k * x
-    if sol.z_power != 0:
+    if sol.family is Family.U2_SECOND:
         log_pref = log_pref + sol.z_power * log_z(sol.family, bg, x)
-    pref = sol.amp * cmath.exp(log_pref)
+    pref = sol.amp * sol.params._ops.exp(log_pref)
     u = pref * h
     dlog = 1j * sp.k + sol.z_power * _dlogz_dx(sol.family, bg, z)
     du = dlog * u + pref * dh * dz_dx(sol.family, bg, z)

@@ -20,15 +20,15 @@ strictly bound states in the channel,
 
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 import statistics
 from dataclasses import dataclass, replace
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, KinkDiracError
+from .heun import _first_failure, _xp
 from .scattering import unwrap_sweep, wronskian
 from .soliton import Family, SolitonBackground, SpectralPoint, build_solution, eval_u
 
@@ -69,30 +69,31 @@ class LevinsonReport:
 
 def _real_phase(bg: SolitonBackground, E: float) -> complex:
     """e^{-i pi (kappa/2M - 1)}: turns c1 at energy E into a real number."""
-    kappa = math.sqrt(bg.M * bg.M - E * E)
-    return cmath.exp(-1j * math.pi * (kappa / (2.0 * bg.M) - 1.0))
+    kappa = _xp(E).sqrt(bg.M * bg.M - E * E)
+    return _xp(E).exp(-1j * math.pi * (kappa / (2.0 * bg.M) - 1.0))
 
 
 def c1_bound_indicator(bg: SolitonBackground, E: float) -> complex:
-    """c1 of the kink on the bound continuation k = i sqrt(M^2 - E^2).
+    """c1 of the kink on the bound continuation k = i sqrt(M^2 - E^2), at each E.
 
     c1 = W(u1_first, u2_second) / (2ik e^{-pi k/K}) at x0 = 0.  Raises
     KinkDiracError when c1 is not e^{i pi (kappa/2M - 1)} times a real number
     to IMAG_TOL of the Wronskian term scale.
     """
     bg.check_kink("c1_bound_indicator")
-    if abs(E) >= bg.M * (1.0 - EDGE_MARGIN):
-        raise DomainError(
-            f"|E| = {abs(E)} too close to the continuum edge M = {bg.M} (kappa -> 0)"
-        )
+    xp, ok = _xp(E), abs(E) < bg.M * (1.0 - EDGE_MARGIN)
+    if not xp.all(ok):
+        E = _first_failure(ok, E)[0]
+        raise DomainError(f"|E| = {abs(E)} too close to the continuum edge M = {bg.M} (kappa -> 0)")
     sp = SpectralPoint.bound(bg, E)
     p1 = eval_u(build_solution(Family.U1_FIRST, bg, sp), 0.0)
     p2b = eval_u(build_solution(Family.U2_SECOND, bg, sp), 0.0)
-    w_den = 2j * sp.k * cmath.exp(-math.pi * sp.k / bg.K)
+    w_den = 2j * sp.k * xp.exp(-math.pi * sp.k / bg.K)
     c1 = wronskian(p1, p2b) / w_den
     scale = (abs(p1[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p1[1])) / abs(w_den)
     ratio = abs((c1 * _real_phase(bg, E)).imag) / scale
-    if ratio > IMAG_TOL:
+    if not xp.all(ratio <= IMAG_TOL):
+        E, ratio = _first_failure(ratio <= IMAG_TOL, E, ratio)
         raise KinkDiracError(
             f"c1_bound_indicator: at E = {E!r} (M = {bg.M}, K = {bg.K}) the imaginary "
             f"part of the real indicator is {ratio:.3g} of the Wronskian term scale, "
@@ -104,18 +105,21 @@ def c1_bound_indicator(bg: SolitonBackground, E: float) -> complex:
 def find_bound_states(bg: SolitonBackground, tol_root: float | None = None) -> list[BoundState]:
     """Bound levels as the roots of c1 on (-M, M).
 
-    Every sign change of the real indicator over SCAN_GRID is refined by
-    Brent's method.  Acceptance is scale-free: a root is kept when |c1| there
-    is at most tol_root (default 1e-6) times the median |c1| over the grid.
+    The indicator over SCAN_GRID is one batch; Brent's method refines every
+    sign change one energy at a time.  A root is kept when |c1| there is at
+    most tol_root (default 1e-6) times the median |c1| over the grid.
     The antikink's levels are the kink's with E_n -> -E_n, in ascending order.
     """
     M, kink = bg.M, bg.kink
-    c1 = functools.cache(lambda E: c1_bound_indicator(kink, E))
+    Es = [g * M for g in SCAN_GRID]
+    cache = dict(zip(Es, c1_bound_indicator(kink, np.array(Es)).tolist()))
+
+    def c1(E: float) -> complex:
+        return cache[E] if E in cache else cache.setdefault(E, c1_bound_indicator(kink, E))
 
     def f(E: float) -> float:
         return (c1(E) * _real_phase(bg, E)).real
 
-    Es = [g * M for g in SCAN_GRID]
     fs = [f(E) for E in Es]
     median = statistics.median(abs(c1(E)) for E in Es)
     accept = tol_root if tol_root is not None else 1e-6

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from kinkdirac import SolitonBackground, SpectralPoint, eval_u, match_coefficients
+from kinkdirac import SolitonBackground, SpectralPoint, eval_u, match_coefficients, unwrap_sweep
 from kinkdirac.cli import main
 from kinkdirac.oracle import residuals
 
@@ -174,13 +174,54 @@ def test_phase_sweep_negative_branch(tmp_path):
          "--k-max", "50", "--samples", "4"], tmp_path
     )
     assert code == 0
+    # The sweep evaluates its grid as one batch, which rounds differently from
+    # the one-point match: equal to 1e-12, where the positive branch's c1 and T
+    # differ at O(1).
     bg = SolitonBackground(M=5.0, K=5.0)
     for r in rows:
         ref = match_coefficients(bg, SpectralPoint.scattering(bg, float(r["k"]), "negative"))
         assert float(r["E"]) < 0
-        assert float(r["re_c1"]) + 1j * float(r["im_c1"]) == ref.c1
-        assert float(r["T"]) == ref.T
+        assert abs(float(r["re_c1"]) + 1j * float(r["im_c1"]) - ref.c1) <= 1e-12 * abs(ref.c1)
+        assert float(r["T"]) == pytest.approx(ref.T, rel=1e-12)
     assert float(rows[0]["T"]) == pytest.approx(0.0045010843, abs=1e-10)
+
+
+def test_phase_sweep_evaluates_each_family_once(tmp_path, monkeypatch):
+    # The 256 momenta are one batch per family: 3 heun_eval calls of 4 Taylor
+    # steps each (one call per family and momentum before batching: 768 and 3072).
+    from kinkdirac import heun, soliton
+
+    evals, steps = [], []
+    heun_eval, taylor_step = heun.heun_eval, heun.taylor_step
+
+    def counting_eval(params, z):
+        evals.append(params.q.shape)
+        return heun_eval(params, z)
+
+    def counting_step(*args):
+        steps.append(args[1])
+        return taylor_step(*args)
+
+    monkeypatch.setattr(soliton, "heun_eval", counting_eval)
+    monkeypatch.setattr(heun, "taylor_step", counting_step)
+    code, rows, _, _ = run_csv(["phase-sweep", "--samples", "256"], tmp_path)
+    assert code == 0 and len(rows) == 256
+    assert evals == [(256,)] * 3
+    assert len(steps) == 12
+
+
+@pytest.mark.parametrize("M", ["1", "5"])
+def test_phase_sweep_unitary_up_to_k_max(tmp_path, M):
+    # Every row up to the default k_max = 50 M, where the matched solutions
+    # lose the most digits, kink and antikink, both energy branches.
+    for sign in ("kink", "antikink"):
+        for branch in ("positive", "negative"):
+            code, rows, _, _ = run_csv(
+                ["phase-sweep", "--M", M, "--K-sign", sign, "--E-branch", branch,
+                 "--k-min", str(1e-3 * float(M)), "--k-max", str(50 * float(M)),
+                 "--samples", "256"], tmp_path)
+            assert code == 0 and len(rows) == 256
+            assert max(abs(float(r["T"]) + float(r["R"]) - 1.0) for r in rows) <= 1e-8
 
 
 @pytest.mark.parametrize("branch", ["positive", "negative"])
@@ -254,6 +295,18 @@ def test_validate_passes(tmp_path):
             assert code == 0
             assert payload["checks"]
             assert all(c["passed"] for c in payload["checks"])
+
+
+def test_validate_unitarity_sweeps_the_requested_branch(tmp_path):
+    # The unitarity check is the largest |T + R - 1| of the sweep matcher at
+    # k/M = 0.1, 0.2, 0.5, 1, 2 on the branch validate was given.
+    for sign, K in (("kink", 5.0), ("antikink", -5.0)):
+        _, payload = run_json(["validate", "--M", "5", "--K-sign", sign,
+                               "--E-branch", "negative"], tmp_path)
+        value = next(c["value"] for c in payload["checks"] if c["name"] == "unitarity")
+        _, _, data = unwrap_sweep(SolitonBackground(M=5.0, K=K),
+                                  [f * 5.0 for f in (0.1, 0.2, 0.5, 1.0, 2.0)], "negative")
+        assert value == max(abs(d.T + d.R - 1.0) for d in data.values())
 
 
 def test_validate_detects_injected_failure(tmp_path):

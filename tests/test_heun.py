@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kinkdirac import (
     ContinuationPath,
+    ConvergenceError,
     DegenerateGammaError,
     DomainError,
     HeunParams,
@@ -23,7 +24,8 @@ from kinkdirac import (
     recurrence_coeffs,
     second_solution_params,
 )
-from kinkdirac.heun import default_path
+from kinkdirac import heun
+from kinkdirac.heun import default_path, heun_eval
 
 
 def ur1_params(M=5.0, K=5.0, k=2.5) -> HeunParams:
@@ -181,12 +183,79 @@ def test_polynomial_truncation_detected():
     h1 = q / (a * ga)
     assert abs(value - (1 + h1 * z)) < 1e-14 * abs(value)
     assert abs(deriv - h1) < 1e-14 * abs(h1)
+    # In a batch the polynomial element stops at the same term as alone, while
+    # its neighbour sums its infinite series.
+    qs = np.array([q + 0.5, q, q - 0.5j])
+    batch = HeunParams(a=a, q=qs, alpha=al, beta=be, gamma=ga, delta=de)
+    values, derivs, state = heun_series(batch, z)
+    assert list(state.truncated) == [False, True, False]
+    assert abs(values[1] - (1 + h1 * z)) < 1e-14 * abs(values[1])
+    assert abs(derivs[1] - h1) < 1e-14 * abs(h1)
+    for i in (0, 2):
+        alone, d_alone, _ = heun_series(HeunParams(a=a, q=qs[i], alpha=al, beta=be, gamma=ga, delta=de), z)
+        assert abs(values[i] - alone) <= 1e-14 * abs(alone)
+        assert abs(derivs[i] - d_alone) <= 1e-14 * abs(d_alone)
 
 
 def test_generic_scattering_series_is_infinite():
     _, _, state = heun_series(ur1_params(), 0.2)
     assert not state.truncated
     assert state.n_used > 10
+
+
+# ---------------------------------------------------------------------------
+# Batches
+# ---------------------------------------------------------------------------
+
+_parts = st.floats(min_value=-2.0, max_value=2.0)
+_cplx = st.builds(complex, _parts, _parts)
+# gamma with Re > 0 keeps clear of the degenerate non-positive integers.
+_gamma = st.builds(complex, st.floats(min_value=0.1, max_value=2.0), _parts)
+
+
+def _points(r_min):
+    """The matching points z = 1/2 +- i/2, or z inside the series disk."""
+    return st.one_of(
+        st.sampled_from([0.5 + 0.5j, 0.5 - 0.5j]),
+        st.builds(cmath.rect, st.floats(min_value=r_min, max_value=0.44),
+                  st.floats(min_value=-math.pi, max_value=math.pi)),
+    )
+
+
+def _assert_each_equals_alone(batch_out, alone_outs):
+    for i, (v, d) in enumerate(alone_outs):
+        scale = max(abs(v), abs(d))
+        assert abs(batch_out[0][i] - v) <= 1e-12 * scale
+        assert abs(batch_out[1][i] - d) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_cplx, _cplx, _cplx, _gamma, _cplx), min_size=1, max_size=6), _points(0.0))
+def test_batch_elements_equal_their_own_evaluation(sets, z):
+    # a = 1/2 as in the kink problem; every element of a batch is its own
+    # scalar heun_eval to 1e-12, inside the series disk and at z = 1/2 +- i/2.
+    q, al, be, ga, de = (np.array(col) for col in zip(*sets))
+    out = heun_eval(HeunParams(a=0.5, q=q, alpha=al, beta=be, gamma=ga, delta=de), z)
+    _assert_each_equals_alone(out, [heun_eval(HeunParams(0.5, *row), z) for row in sets])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=1e-3, max_value=10.0), st.sampled_from([1.0, -1.0])),
+                min_size=1, max_size=6),
+       st.sampled_from([1.0, -1.0]), _points(0.01))
+def test_batch_second_solution_equals_its_own_evaluation(points, family, z):
+    # Kink parameter sets (M = K = 1) at k/M <= 10: beyond that the second
+    # solution at the matching point is subdominant and its value noise.  It
+    # is singular at z = 0, hence |z| >= 0.01.
+    k = np.array([p[0] for p in points])
+    E = np.array([p[1] for p in points]) * np.hypot(1.0, k)
+
+    def params(k, E):
+        return HeunParams(a=0.5, q=family * 1j * (E + k), alpha=-1, beta=0,
+                          gamma=1 - family * 1j * k, delta=1 + family * 1j * k)
+
+    out = heun_second_solution(params(k, E), z)
+    _assert_each_equals_alone(out, [heun_second_solution(params(*kE), z) for kE in zip(k.tolist(), E.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +305,24 @@ def test_degenerate_gamma_rejected():
     p = HeunParams(a=0.5, q=1.0, alpha=-1, beta=0, gamma=1.0, delta=1.0)
     with pytest.raises(DegenerateGammaError):
         heun_second_solution(p, 0.1)
+    # A batch fails on its one degenerate element, named with its parameters.
+    batch = HeunParams(a=0.5, q=np.array([1.0, 2.0, 3.0]), alpha=-1, beta=0,
+                       gamma=np.array([1.5, 1.0, 0.5 + 1j]), delta=1.0)
+    with pytest.raises(DegenerateGammaError, match=r"^heun_second_solution: gamma = \(1\+0j\) .*"
+                                                   r"q=\(2\+0j\)"):
+        heun_second_solution(batch, 0.1)
+    batch = HeunParams(a=0.5, q=np.array([1.0, 2.0]), alpha=-1, beta=0,
+                       gamma=np.array([0.5, -1.0]), delta=1.0)
+    with pytest.raises(DegenerateGammaError, match=r"^heun_series: gamma = \(-1\+0j\) .*q=\(2\+0j\)"):
+        heun_series(batch, 0.1)
+
+
+def test_batch_convergence_error_names_the_slow_element(monkeypatch):
+    # The large-q element needs more Taylor terms than the budget allows.
+    monkeypatch.setattr(heun, "N_MAX_TAYLOR", 40)
+    batch = HeunParams(a=0.5, q=np.array([0.3, 40j]), alpha=-1, beta=0, gamma=1.2, delta=0.8)
+    with pytest.raises(ConvergenceError, match=r"^taylor_step: .*q=40j"):
+        heun_continue(batch, 0.5 + 0.5j)
 
 
 def test_second_solution_continuous_through_gamma_zero():

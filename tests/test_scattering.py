@@ -235,3 +235,26 @@ def test_unwrap_sweep_high_k_limit(bg5):
     _, deltas, _ = unwrap_sweep(bg5, ks)
     # Phase shift vanishes at high momentum (branch is anchored there).
     assert abs(deltas[-1]) < 0.05
+
+
+def test_unwrap_sweep_refines_in_batched_passes(bg5, monkeypatch):
+    # The kink's phase never jumps by pi/2 between grid points, so the jump
+    # test is made four times stricter: gaps with a phase change of pi/8 or
+    # more are bisected.  Each pass matches all its midpoints as one batch,
+    # the requested rows keep their values, and MAX_REFINE caps the extra
+    # momenta.
+    from kinkdirac import scattering
+
+    ks = [0.025, 2.5, 250.0]
+    _, plain, _ = unwrap_sweep(bg5, ks)
+    batches = []
+    rows = scattering._rows
+    monkeypatch.setattr(scattering, "_rows", lambda batch: batches.append(batch.c1.size) or rows(batch))
+    monkeypatch.setattr(scattering, "_wrap", lambda angle: 4.0 * angle)
+    grid, refined, _ = unwrap_sweep(bg5, ks)
+    assert grid == ks and refined == plain
+    assert batches[0] == 3 and len(batches) >= 3
+    batches.clear()
+    monkeypatch.setattr(scattering, "MAX_REFINE", 3)
+    unwrap_sweep(bg5, ks)
+    assert batches[0] == 3 and sum(batches[1:]) == 3

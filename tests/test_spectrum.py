@@ -166,3 +166,23 @@ def test_spectrum_roots_are_sign_changes(sign):
     assert massive.E_n == pytest.approx(sign * 4.231807015500819, abs=1e-9 * bg.M)
     for s in (zero, massive):
         assert 0.0 < s.residual <= 1e-6
+
+
+def test_scan_is_one_batch_per_family(bg5, monkeypatch):
+    # The 64 scan energies are evaluated as 2 batched calls (u1_first and
+    # u2_second); Brent's refinement adds only one-energy calls, 2 per
+    # energy it evaluates beyond the scan grid.
+    from kinkdirac import heun, soliton
+
+    shapes = []
+    heun_eval = heun.heun_eval
+
+    def counting(params, z):
+        shapes.append(np.shape(params.q))
+        return heun_eval(params, z)
+
+    monkeypatch.setattr(soliton, "heun_eval", counting)
+    assert len(find_bound_states(bg5)) == 2
+    batched = [s for s in shapes if s]
+    assert batched == [(spectrum.SCAN_POINTS,)] * 2
+    assert shapes[:2] == batched and len(shapes) % 2 == 0 and len(shapes) > 2
