@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from .errors import KinkDiracError
 from .heun import HeunParams, heun_eval, heun_second_solution, heun_series, recurrence_coeffs
 from .oracle import integrate_heun, oracle_scattering, residuals
-from .scattering import conjugate_spinor, match_coefficients, matched_u, unwrap_sweep
+from .scattering import conjugate_spinor, log_grid, match_coefficients, matched_u, unwrap_sweep
 from .soliton import SolitonBackground, SpectralPoint, eval_u, kink_profile, v_from_u
 from .spectrum import find_bound_states, levinson_check
 
@@ -50,12 +50,12 @@ class RunConfig:
     degrees: bool
 
     def __post_init__(self):
-        if self.k_min <= 0 or self.k_min >= self.k_max:
+        if not (0 < self.k_min < self.k_max):
             raise ValueError("need 0 < k_min < k_max")
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
         for name in ("tol_series", "tol_continuation", "tol_root"):
-            if getattr(self, name) <= 0:
+            if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
 
     @property
@@ -170,29 +170,19 @@ def cmd_scatter(cfg: RunConfig) -> int:
     return 0
 
 
-def _k_grid(cfg: RunConfig):
-    ratio = (cfg.k_max / cfg.k_min) ** (1.0 / (cfg.samples - 1))
-    ks = [cfg.k_min * ratio**i for i in range(cfg.samples)]
-    ks[-1] = cfg.k_max
-    return ks
-
-
 def cmd_phase_sweep(cfg: RunConfig) -> int:
     bg = cfg.background
-    ks, deltas, data = unwrap_sweep(bg, _k_grid(cfg), cfg.E_branch)
-    records = []
-    for k, delta in zip(ks, deltas):
-        d = data[k]
-        sp = SpectralPoint.scattering(bg, k, cfg.E_branch)
-        records.append(
-            {
-                "k": k, "E": sp.E,
-                "re_c1": d.c1.real, "im_c1": d.c1.imag,
-                "re_c2": d.c2.real, "im_c2": d.c2.imag,
-                "T": d.T, "R": d.R,
-                "delta": cfg.angle(delta),
-            }
-        )
+    ks, deltas, d = unwrap_sweep(bg, log_grid(cfg.k_min, cfg.k_max, cfg.samples), cfg.E_branch)
+    records = [
+        {
+            "k": k, "E": SpectralPoint.scattering(bg, k, cfg.E_branch).E,
+            "re_c1": c1.real, "im_c1": c1.imag,
+            "re_c2": c2.real, "im_c2": c2.imag,
+            "T": abs(t) ** 2, "R": abs(r) ** 2,  # Python abs: numpy rounds differently
+            "delta": cfg.angle(delta),
+        }
+        for k, c1, c2, t, r, delta in zip(ks, *(v.tolist() for v in (d.c1, d.c2, d.t, d.r)), deltas)
+    ]
     columns = ["k", "E", "re_c1", "im_c1", "re_c2", "im_c2", "T", "R", "delta"]
     _emit(cfg, columns, records)
     return 0
@@ -262,7 +252,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     add("oracle_c2", abs(data.c2 - c2o) / abs(c2o), 1e-6)
     # Unitarity across a small sweep on the requested branch.
     _, _, swept = unwrap_sweep(bg, [frac * bg.M for frac in (0.1, 0.2, 0.5, 1.0, 2.0)], cfg.E_branch)
-    add("unitarity", max(abs(d.T + d.R - 1.0) for d in swept.values()), 1e-6)
+    add("unitarity", max(abs(swept.T + swept.R - 1.0).tolist()), 1e-6)
     # Matching-point invariance.
     c1s = [
         match_coefficients(bg, sp, x0 / bg.M).c1

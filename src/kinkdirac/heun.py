@@ -365,6 +365,9 @@ def default_path(params: HeunParams, z_target: complex) -> ContinuationPath:
     raise PathError(f"no admissible default path from {z0} to {z_target}")
 
 
+# A diverging element overflows to inf or nan and fails its stopping test, as
+# on Python numbers, which do not warn either.
+@np.errstate(over="ignore", invalid="ignore")
 def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex, z1: complex):
     """Advance the solution (value, deriv) at z0 to z1 by local Taylor expansion.
 
@@ -416,7 +419,10 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
         if some(streak >= 3):
             if every(streak >= 3):
                 return val, dv
+            # A stopped element adds no terms, and its coefficients become
+            # exact zeros so they cannot grow to inf (inf * 0 = nan).
             tn = tn * (streak < 3)
+            c[-1] = c_new * (streak < 3)
     raise ConvergenceError(
         f"taylor_step: no convergence from {z0} to {z1} within {N_MAX_TAYLOR} terms "
         f"for {_element(params, streak >= 3)}"

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBasisError
-from .heun import HeunParams, _first_failure, _xp
+from .heun import _first_failure, _xp
 from .soliton import (Family, LocalSolution, SolitonBackground, SpectralPoint, build_solution,
                       eval_u, ratio_squared, v_from_u)
 
@@ -46,8 +46,9 @@ from .soliton import (Family, LocalSolution, SolitonBackground, SpectralPoint, b
 @dataclass(frozen=True)
 class ScatteringData:
     """Matching coefficients and derived scattering observables at one (E, k),
-    with the kink's (u1_first, u2_first, u2_second) basis they were matched in
-    and, for the antikink, the kink data they are the image of."""
+    or numpy arrays of them over a batch (as unwrap_sweep returns), with the
+    kink's (u1_first, u2_first, u2_second) basis they were matched in and, for
+    the antikink, the kink data they are the image of."""
 
     c1: complex
     c2: complex
@@ -95,10 +96,11 @@ def match_coefficients(
 
 
 def _conjugate(kink: ScatteringData) -> ScatteringData:
-    """The antikink's ScatteringData as the image of the kink's at (-E, conj k, -x0)."""
+    """The antikink's ScatteringData as the image of the kink's at (-E, conj k, -x0),
+    at one point or for a batch."""
     bg, sp = kink.basis[0].background, kink.basis[0].spectral
     E, k = -sp.E, sp.k.conjugate()
-    f = cmath.exp(-math.pi * k / bg.M)
+    f = _xp(k).exp(-math.pi * k / bg.M)
     return ScatteringData(f * kink.c1.conjugate(), f * f * (E + k) / (E - k) * kink.c2.conjugate(),
                           kink.t.conjugate(), kink.r.conjugate(), -kink.delta, -kink.x0,
                           kink.basis, kink)
@@ -131,21 +133,6 @@ def _match_kink(bg: SolitonBackground, sp: SpectralPoint, x0: float) -> Scatteri
     r = xp.sqrt((sp.E - sp.k) / (sp.E + sp.k)) * (c2 / c1) * xp.exp(-half * sp.k)
     delta = -xp.angle(c1)
     return ScatteringData(c1=c1, c2=c2, t=t, r=r, delta=delta, x0=x0, basis=basis)
-
-
-def _rows(batch: ScatteringData) -> list[ScatteringData]:
-    """The ScatteringData of each (E, k) of a batch matched by _match_kink, each
-    with its element of the batch's basis."""
-    def split(sol: LocalSolution) -> list[LocalSolution]:
-        p, sp = sol.params, sol.spectral
-        cols = (np.broadcast_to(v, sp.k.shape).tolist() for v in (
-            p.q, p.alpha, p.beta, p.gamma, p.delta, sp.E, sp.k, sol.amp, sol.z_power))
-        return [LocalSolution(sol.family, HeunParams(p.a, *c[:5]), sol.background,
-                              SpectralPoint(*c[5:7]), *c[7:]) for c in zip(*cols)]
-
-    cols = (v.tolist() for v in (batch.c1, batch.c2, batch.t, batch.r, batch.delta))
-    bases = zip(*map(split, batch.basis))
-    return [ScatteringData(*c, batch.x0, basis) for *c, basis in zip(*cols, bases)]
 
 
 def matched_u(data: ScatteringData, x: float):
@@ -191,6 +178,12 @@ def _wrap(angle: float) -> float:
     return -((-angle + math.pi) % (2.0 * math.pi) - math.pi)
 
 
+def log_grid(k_min: float, k_max: float, n: int) -> list[float]:
+    """n log-spaced momenta from k_min, the last exactly k_max."""
+    ratio = (k_max / k_min) ** (1.0 / (n - 1))
+    return [k_min * ratio**i for i in range(n - 1)] + [k_max]
+
+
 def unwrap_sweep(bg: SolitonBackground, ks, branch: str = "positive"):
     """Compute ScatteringData over a k-grid on one energy branch, with
     continuously unwrapped delta.  The requested grid is matched as one batch,
@@ -201,37 +194,37 @@ def unwrap_sweep(bg: SolitonBackground, ks, branch: str = "positive"):
     Where adjacent raw phases still jump by >= pi/2 the grid is refined (the
     extra samples steer the unwrapping but are dropped from the output).
 
-    Returns (requested_ks, unwrapped_deltas, data_by_k).
+    Returns (requested_ks, unwrapped_deltas, data): requested_ks sorted and
+    distinct, and data the one batched ScatteringData of the requested grid,
+    its arrays aligned with requested_ks.
     """
 
-    def match(ks: list[float]) -> dict[float, ScatteringData]:
-        # One batch per family; antikink rows are mapped from the kink's per point.
+    def match(ks: list[float]) -> ScatteringData:
+        # One batch per family; the antikink's is mapped from the kink's.
         sp = SpectralPoint.scattering(bg, np.array(ks), branch)
         if bg.K > 0:
-            return dict(zip(ks, _rows(_match_kink(bg, sp, 0.0))))
-        rows = _rows(_match_kink(bg.kink, SpectralPoint(E=-sp.E, k=sp.k.conjugate()), 0.0))
-        return dict(zip(ks, map(_conjugate, rows)))
+            return _match_kink(bg, sp, 0.0)
+        return _conjugate(_match_kink(bg.kink, SpectralPoint(E=-sp.E, k=sp.k.conjugate()), 0.0))
 
     requested = sorted(set(float(k) for k in ks))
     grid = list(requested)
     data = match(grid)
+    raw = dict(zip(grid, data.delta.tolist()))
     budget = MAX_REFINE
     while budget > 0:
         # Each pass matches the midpoints of every gap whose phase still jumps.
         mids = [math.sqrt(a * b) for a, b in zip(grid, grid[1:])
-                if abs(_wrap(data[b].delta - data[a].delta)) >= math.pi / 2 and b - a > 1e-12 * b]
-        mids = [m for m in mids if m not in data][:budget]
+                if abs(_wrap(raw[b] - raw[a])) >= math.pi / 2 and b - a > 1e-12 * b]
+        mids = [m for m in mids if m not in raw][:budget]
         if not mids:
             break
-        data.update(match(mids))
+        raw.update(zip(mids, match(mids).delta.tolist()))
         grid = sorted(grid + mids)
         budget -= len(mids)
     # Anchor at the largest k, propagate the branch downward.
-    unwrapped = {grid[-1]: data[grid[-1]].delta}
+    unwrapped = {grid[-1]: raw[grid[-1]]}
     for i in range(len(grid) - 2, -1, -1):
-        raw = data[grid[i]].delta
         ref = unwrapped[grid[i + 1]]
-        n = round((ref - raw) / (2.0 * math.pi))
-        unwrapped[grid[i]] = raw + 2.0 * math.pi * n
-    deltas = [unwrapped[k] for k in requested]
-    return requested, deltas, {k: data[k] for k in requested}
+        n = round((ref - raw[grid[i]]) / (2.0 * math.pi))
+        unwrapped[grid[i]] = raw[grid[i]] + 2.0 * math.pi * n
+    return requested, [unwrapped[k] for k in requested], data

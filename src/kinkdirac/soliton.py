@@ -27,6 +27,8 @@ from .heun import (HeunParams, _first_failure, _xp, check_gamma_nondegenerate, h
                    second_solution_params)
 
 HALF = 0.5 + 0j  # the third Heun singularity for this background
+# Largest |E^2 - M^2 - k^2| accepted, relative to max(|E^2|, |M^2 + k^2|, M^2).
+DISPERSION_TOL = 1e-10
 
 
 class Family(Enum):
@@ -107,11 +109,12 @@ class SpectralPoint:
             raise DomainError(f"bound energy must satisfy |E| < M, got E = {E}, M = {bg.M}")
         return cls(E=E, k=1j * xp.sqrt(bg.M * bg.M - E * E))
 
-    def check_dispersion(self, bg: SolitonBackground, tol: float = 1e-10) -> None:
+    def check_dispersion(self, bg: SolitonBackground) -> None:
         lhs = self.E * self.E
         rhs = bg.M * bg.M + self.k * self.k
         xp = _xp(lhs, rhs)
-        ok = abs(lhs - rhs) <= tol * xp.maximum(xp.maximum(abs(lhs), abs(rhs)), bg.M * bg.M)
+        scale = xp.maximum(xp.maximum(abs(lhs), abs(rhs)), bg.M * bg.M)
+        ok = abs(lhs - rhs) <= DISPERSION_TOL * scale
         if not xp.all(ok):
             E, k = _first_failure(ok, self.E, self.k)
             raise DomainError(f"(E, k) = ({E}, {k}) violates E^2 = M^2 + k^2 for M = {bg.M}")

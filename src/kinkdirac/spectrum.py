@@ -29,7 +29,7 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, KinkDiracError
 from .heun import _first_failure, _xp
-from .scattering import unwrap_sweep, wronskian
+from .scattering import log_grid, unwrap_sweep, wronskian
 from .soliton import Family, SolitonBackground, SpectralPoint, build_solution, eval_u
 
 # Keep away from the continuum edge |E| = M where kappa -> 0.
@@ -156,14 +156,7 @@ def levinson_check(
     """
     if not (0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")
-    ks = set()
-    ratio = (k_max / k_min) ** (1.0 / (samples - 1))
-    k = k_min
-    for _ in range(samples):
-        ks.add(min(k, k_max))
-        k *= ratio
-    ks.update((k_min, 2.0 * k_min, 4.0 * k_min, k_max))
-    grid, deltas, _ = unwrap_sweep(bg, sorted(ks))
+    grid, deltas, _ = unwrap_sweep(bg, log_grid(k_min, k_max, samples) + [2.0 * k_min, 4.0 * k_min])
     by_k = dict(zip(grid, deltas))
     # Richardson on delta(k) = delta0 + a k + b k^2 at {k, 2k, 4k}.
     d1, d2, d4 = by_k[k_min], by_k[2.0 * k_min], by_k[4.0 * k_min]

@@ -306,7 +306,7 @@ def test_validate_unitarity_sweeps_the_requested_branch(tmp_path):
         value = next(c["value"] for c in payload["checks"] if c["name"] == "unitarity")
         _, _, data = unwrap_sweep(SolitonBackground(M=5.0, K=K),
                                   [f * 5.0 for f in (0.1, 0.2, 0.5, 1.0, 2.0)], "negative")
-        assert value == max(abs(d.T + d.R - 1.0) for d in data.values())
+        assert value == max(abs(data.T + data.R - 1.0))
 
 
 def test_validate_detects_injected_failure(tmp_path):
@@ -350,6 +350,17 @@ def test_usage_error_exits_2(capsys):
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("bound-states", "--tol-root"), ("validate", "--tol-series"),
+    ("phase-sweep", "--k-min"), ("phase-sweep", "--k-max"),
+])
+def test_nan_parameter_exits_2(command, flag, capsys):
+    # NaN fails every comparison, so each check must accept only what is valid.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--M", "5", flag, "nan"])
     assert exc.value.code == 2
 
 

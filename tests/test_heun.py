@@ -4,6 +4,7 @@ import cmath
 import importlib
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,13 @@ from kinkdirac import (
     ConvergenceError,
     DegenerateGammaError,
     DomainError,
+    Family,
     HeunParams,
     PathError,
+    SolitonBackground,
+    SpectralPoint,
+    build_solution,
+    eval_u,
     heun_continue,
     heun_second_solution,
     heun_series,
@@ -323,6 +329,17 @@ def test_batch_convergence_error_names_the_slow_element(monkeypatch):
     batch = HeunParams(a=0.5, q=np.array([0.3, 40j]), alpha=-1, beta=0, gamma=1.2, delta=0.8)
     with pytest.raises(ConvergenceError, match=r"^taylor_step: .*q=40j"):
         heun_continue(batch, 0.5 + 0.5j)
+    # At the default budget k/M = 180 does not converge and 0.001 does.  In
+    # either order the error names 180: the stopped element's coefficients
+    # are zeroed, so they never reach inf * 0 = nan, and numpy does not warn.
+    monkeypatch.undo()
+    bg = SolitonBackground(M=1.0, K=1.0)
+    for ks in ([0.001, 180.0], [180.0, 0.001]):
+        sol = build_solution(Family.U1_FIRST, bg, SpectralPoint.scattering(bg, np.array(ks)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConvergenceError, match=r"^taylor_step: .*gamma=\(1-180j\)"):
+                eval_u(sol, 0.0)
 
 
 def test_second_solution_continuous_through_gamma_zero():

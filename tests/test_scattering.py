@@ -248,8 +248,9 @@ def test_unwrap_sweep_refines_in_batched_passes(bg5, monkeypatch):
     ks = [0.025, 2.5, 250.0]
     _, plain, _ = unwrap_sweep(bg5, ks)
     batches = []
-    rows = scattering._rows
-    monkeypatch.setattr(scattering, "_rows", lambda batch: batches.append(batch.c1.size) or rows(batch))
+    match = scattering._match_kink
+    monkeypatch.setattr(scattering, "_match_kink",
+                        lambda bg, sp, x0: batches.append(sp.k.size) or match(bg, sp, x0))
     monkeypatch.setattr(scattering, "_wrap", lambda angle: 4.0 * angle)
     grid, refined, _ = unwrap_sweep(bg5, ks)
     assert grid == ks and refined == plain
@@ -258,3 +259,22 @@ def test_unwrap_sweep_refines_in_batched_passes(bg5, monkeypatch):
     monkeypatch.setattr(scattering, "MAX_REFINE", 3)
     unwrap_sweep(bg5, ks)
     assert batches[0] == 3 and sum(batches[1:]) == 3
+
+
+@pytest.mark.parametrize("K", [5.0, -5.0])
+def test_sweep_builds_no_per_row_objects(K, monkeypatch):
+    # A sweep is one batch from match to output: the number of Heun parameter
+    # sets it builds does not grow with the number of momenta.
+    from kinkdirac import heun
+
+    bg = SolitonBackground(M=5.0, K=K)
+    built = []
+    init = heun.HeunParams.__post_init__
+    monkeypatch.setattr(heun.HeunParams, "__post_init__", lambda p: built.append(p) or init(p))
+    counts = []
+    for n in (16, 256):
+        built.clear()
+        ks, _, data = unwrap_sweep(bg, np.geomspace(5e-3, 250.0, n))
+        assert len(ks) == data.c1.size == n
+        counts.append(len(built))
+    assert counts[0] == counts[1]
