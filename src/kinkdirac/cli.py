@@ -17,10 +17,13 @@ top-level shape {config, records, checks}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .errors import KinkDiracError
 from .heun import HeunParams, heun_eval, heun_second_solution, heun_series, recurrence_coeffs
@@ -75,6 +78,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
+@functools.cache
+def _line_format(types) -> str:
+    """%-format of a CSV line of these cell types; "%.17g" % v == format(v, ".17g")."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+
+
+def _csv_line(cells) -> str:
+    """One CSV line of cells, its float cells through one "%.17g" operation."""
+    types = tuple(map(type, cells))
+    if bool in types:
+        cells = [_fmt(v) if type(v) is bool else v for v in cells]
+    return _line_format(types) % tuple(cells)
+
+
 def _emit(cfg: RunConfig, columns, records, checks=None) -> None:
     """Write records (list of dicts) as CSV or JSON to cfg.output_path/stdout."""
     checks = checks or []
@@ -87,8 +104,7 @@ def _emit(cfg: RunConfig, columns, records, checks=None) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         lines = [",".join(columns)]
-        for rec in records:
-            lines.append(",".join(_fmt(rec[c]) for c in columns))
+        lines += [_csv_line([rec[c] for c in columns]) for rec in records]
         for chk in checks:
             lines.append(
                 "# check "
@@ -124,49 +140,31 @@ def cmd_scatter(cfg: RunConfig) -> int:
     data = match_coefficients(bg, SpectralPoint.scattering(bg, cfg.k, cfg.E_branch))
     # An antikink row is the charge-conjugate image of the kink row at -x.
     kink = data.kink or data
-    _, sol2, sol2b = kink.basis
-    bg_k, sp = sol2.background, sol2.spectral
+    sol1, sol2, sol2b = kink.basis
+    bg_k, sp = sol1.background, sol1.spectral
     x_max, n = 10.0 / (2.0 * bg.M), cfg.samples
-
-    def row(x: float, side: str) -> dict:
-        if side == "incident":
-            ua, dua = eval_u(sol2, x)
-            ub, dub = eval_u(sol2b, x)
-            u_inc, du_inc = kink.c1 * ua, kink.c1 * dua
-            u_ref, du_ref = kink.c2 * ub, kink.c2 * dub
-            v_inc = v_from_u(u_inc, du_inc, bg_k, sp, x)
-            v_ref = v_from_u(u_ref, du_ref, bg_k, sp, x)
-            # x = 0 belongs to the transmitted side of the match, where u is u1.
-            u, du = matched_u(kink, x) if x == 0 else (u_inc + u_ref, du_inc + du_ref)
-        else:
-            u, du = matched_u(kink, x)
-            u_inc = u_ref = v_inc = v_ref = complex(math.nan, math.nan)
-        v = v_from_u(u, du, bg_k, sp, x)
-        if kink is not data:
-            x = -x or 0.0
-            (u, v), (u_inc, v_inc), (u_ref, v_ref) = conjugate_spinor(
-                kink, (u, v), (u_inc, v_inc), (u_ref, v_ref))
-        return {
-            "x": x,
-            "side": side,
-            "re_u": u.real, "im_u": u.imag,
-            "re_v": v.real, "im_v": v.imag,
-            "re_u_inc": u_inc.real, "im_u_inc": u_inc.imag,
-            "re_u_ref": u_ref.real, "im_u_ref": u_ref.imag,
-            "re_v_inc": v_inc.real, "im_v_inc": v_inc.imag,
-            "re_v_ref": v_ref.real, "im_v_ref": v_ref.imag,
-        }
-
     # Incident/reflected side first (the kink's x < 0), sampling x = 0 from
-    # both sides; "or 0.0" turns -0.0 into 0.0.
-    records = [row(-x_max * (1.0 - i / (n - 1)) or 0.0, "incident") for i in range(n)]
-    records += [row(x_max * i / (n - 1), "transmitted") for i in range(n)]
-    columns = [
-        "x", "side", "re_u", "im_u", "re_v", "im_v",
-        "re_u_inc", "im_u_inc", "re_u_ref", "im_u_ref",
-        "re_v_inc", "im_v_inc", "re_v_ref", "im_v_ref",
-    ]
-    _emit(cfg, columns, records)
+    # both sides ("or 0.0" turns -0.0 into 0.0), one batch per local solution.
+    x_inc = np.array([-x_max * (1.0 - i / (n - 1)) or 0.0 for i in range(n)])
+    x_tr = np.array([x_max * i / (n - 1) for i in range(n)])
+    (ua, dua), (ub, dub), (u1, du1) = eval_u(sol2, x_inc), eval_u(sol2b, x_inc), eval_u(sol1, x_tr)
+    u_inc, du_inc, u_ref, du_ref = kink.c1 * ua, kink.c1 * dua, kink.c2 * ub, kink.c2 * dub
+    x = np.concatenate([x_inc, x_tr])
+    u = np.concatenate([(u_inc + u_ref)[:-1], u1[:1], u1])  # x = 0 is u1's side of the match
+    v = v_from_u(u, np.concatenate([(du_inc + du_ref)[:-1], du1[:1], du1]), bg_k, sp, x)
+    nan = np.full(n, complex(math.nan, math.nan))
+    v_inc, v_ref = (np.concatenate([v_from_u(w, dw, bg_k, sp, x_inc), nan])
+                    for w, dw in ((u_inc, du_inc), (u_ref, du_ref)))
+    u_inc, u_ref = np.concatenate([u_inc, nan]), np.concatenate([u_ref, nan])
+    if kink is not data:
+        x = -x + 0.0  # + 0.0 turns -0.0 into 0.0
+        (u, v), (u_inc, v_inc), (u_ref, v_ref) = conjugate_spinor(
+            kink, (u, v), (u_inc, v_inc), (u_ref, v_ref))
+    waves = {"u": u, "v": v, "u_inc": u_inc, "u_ref": u_ref, "v_inc": v_inc, "v_ref": v_ref}
+    columns = ["x", "side"] + [f"{part}_{name}" for name in waves for part in ("re", "im")]
+    cells = [x.tolist(), ["incident"] * n + ["transmitted"] * n]
+    cells += [part.tolist() for w in waves.values() for part in (w.real, w.imag)]
+    _emit(cfg, columns, [dict(zip(columns, row)) for row in zip(*cells)])
     return 0
 
 
@@ -263,11 +261,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     # Governing-equation residuals of the matched solution.
     half_x = 10.0 / (2.0 * bg.M)
     n_pts = 401
-    xs = [-half_x + 2.0 * half_x * i / (n_pts - 1) for i in range(n_pts)]
-    pairs = [matched_u(data, x) for x in xs]
-    us = [p[0] for p in pairs]
-    vs = [v_from_u(u, du, bg, sp, x) for (u, du), x in zip(pairs, xs)]
-    rep = residuals(xs, us, vs, bg, sp)
+    xs = np.array([-half_x + 2.0 * half_x * i / (n_pts - 1) for i in range(n_pts)])
+    us, dus = matched_u(data, xs)
+    rep = residuals(xs, us, v_from_u(us, dus, bg, sp, xs), bg, sp)
     add("governing_residuals", rep.max_rel_residual, 1e-6)
     # Bound-state root residuals (scale-free).
     states = find_bound_states(bg, tol_root=cfg.tol_root)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import FitError, StepFailure
 from .heun import HeunParams
@@ -52,6 +51,8 @@ def integrate_u(bg: SolitonBackground, sp: SpectralPoint, x_start: float, x_end:
     coupling_scale multiplies the sech terms; 0 detaches the kink entirely
     (free-propagation test double).
     """
+    from scipy.integrate import solve_ivp  # here, so importing the CLI loads no scipy
+
     if x_start == x_end:
         raise ValueError("x_start and x_end must differ")
     if rel_tol <= 0 or abs_tol <= 0:
@@ -159,6 +160,8 @@ def integrate_heun(params: HeunParams, waypoints, rel_tol: float = 1e-12, abs_to
     of modulus ~1e-3, so the truncation error (~|h4| 1e-12) is negligible at
     the 1e-8 comparison level.
     """
+    from scipy.integrate import solve_ivp
+
     a, q = params.a, params.q
     al, be, ga, de, eps = params.alpha, params.beta, params.gamma, params.delta, params.epsilon
     pts = [complex(w) for w in waypoints]
@@ -252,7 +255,7 @@ def residuals(x, u, v, bg: SolitonBackground, sp: SpectralPoint) -> ResidualRepo
     du = _fd(u, h, _D1, 1)
     ddu = _fd(u, h, _D2, 2)
     dv = _fd(v, h, _D1, 1)
-    phase = np.array([-ratio_squared(bg, xx) for xx in xi])  # e^{2 i beta phi}
+    phase = -ratio_squared(bg, xi)  # e^{2 i beta phi}
     sech = np.array([_sech(2.0 * K * xx) for xx in xi])
 
     res1 = -E * ui + 1j * du + 1j * M * vi / phase

@@ -139,14 +139,22 @@ def matched_u(data: ScatteringData, x: float):
     """The globally matched solution (u, u'): the transmitted frame u1 on its
     side of x0 (x >= x0 for the kink, x <= x0 for the antikink), c1 u2 + c2 u2b
     on the other.  For the antikink, (u, v) is the image of the kink's at -x and
-    u' = -i E u + M conj(ratio_squared(bg, x)) v follows from its Dirac system."""
+    u' = -i E u + M conj(ratio_squared(bg, x)) v follows from its Dirac system.
+    x may be a numpy array: one eval_u batch per local solution."""
     kink, x_k = (data, x) if data.kink is None else (data.kink, -x)
     sol1, sol2, sol2b = kink.basis
-    if x_k >= kink.x0:
-        u, du = eval_u(sol1, x_k)
+
+    def incident(x):
+        (u_a, du_a), (u_b, du_b) = eval_u(sol2, x), eval_u(sol2b, x)
+        return kink.c1 * u_a + kink.c2 * u_b, kink.c1 * du_a + kink.c2 * du_b
+
+    right = x_k >= kink.x0
+    if isinstance(x_k, np.ndarray):
+        u, du = np.empty((2,) + x_k.shape, complex)
+        u[right], du[right] = eval_u(sol1, x_k[right])
+        u[~right], du[~right] = incident(x_k[~right])
     else:
-        (u_a, du_a), (u_b, du_b) = eval_u(sol2, x_k), eval_u(sol2b, x_k)
-        u, du = kink.c1 * u_a + kink.c2 * u_b, kink.c1 * du_a + kink.c2 * du_b
+        u, du = eval_u(sol1, x_k) if right else incident(x_k)
     if kink is data:
         return u, du
     bg, sp = sol1.background, sol1.spectral

@@ -18,9 +18,12 @@ asymptotically stable forms, so nothing overflows at large |x|.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import DomainError
 from .heun import (HeunParams, _first_failure, _xp, check_gamma_nondegenerate, heun_eval,
@@ -156,6 +159,19 @@ def topological_charge(bg: SolitonBackground) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _pointwise(f):
+    """f of a float x, or of each element of a numpy array of x."""
+
+    @functools.wraps(f)
+    def each(*args):
+        if isinstance(args[-1], np.ndarray):
+            return np.array([f(*args[:-1], v) for v in args[-1].tolist()], complex)
+        return f(*args)
+
+    return each
+
+
+@_pointwise
 def map_to_z(family: Family, bg: SolitonBackground, x: float) -> complex:
     """Heun argument of the given family at coordinate x.
 
@@ -175,6 +191,7 @@ def map_to_z(family: Family, bg: SolitonBackground, x: float) -> complex:
     return es / (es + 1j)
 
 
+@_pointwise
 def log_z(family: Family, bg: SolitonBackground, x: float) -> complex:
     """Principal log of map_to_z, computed without evaluating z in the tails."""
     s = 2.0 * bg.K * x
@@ -198,6 +215,7 @@ def _dlogz_dx(family: Family, bg: SolitonBackground, z: complex) -> complex:
     return sign * 2.0 * bg.K * (z - 1.0)
 
 
+@_pointwise
 def ratio_squared(bg: SolitonBackground, x: float) -> complex:
     """((1 + i e^{-2Kx}) / (1 - i e^{-2Kx}))^2, stable in both tails (unit modulus)."""
     s = 2.0 * bg.K * x
@@ -257,7 +275,8 @@ def eval_u(sol: LocalSolution, x: float):
     """Upper spinor component u(x) and its x-derivative for one local solution.
 
     u = amp * e^{ikx} * z^{z_power} * Hl(z) with the appropriate parameter set;
-    the derivative uses the analytic chain rule through the map x -> z.
+    the derivative uses the analytic chain rule through the map x -> z.  x may
+    be a numpy array for one spectral point: one heun_eval batch.
     """
     bg, sp = sol.background, sol.spectral
     bg.check_kink("eval_u")
@@ -266,7 +285,7 @@ def eval_u(sol: LocalSolution, x: float):
     log_pref = 1j * sp.k * x
     if sol.family is Family.U2_SECOND:
         log_pref = log_pref + sol.z_power * log_z(sol.family, bg, x)
-    pref = sol.amp * sol.params._ops.exp(log_pref)
+    pref = sol.amp * _xp(log_pref).exp(log_pref)
     u = pref * h
     dlog = 1j * sp.k + sol.z_power * _dlogz_dx(sol.family, bg, z)
     du = dlog * u + pref * dh * dz_dx(sol.family, bg, z)

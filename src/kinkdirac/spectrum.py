@@ -25,7 +25,6 @@ import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, KinkDiracError
 from .heun import _first_failure, _xp
@@ -110,6 +109,8 @@ def find_bound_states(bg: SolitonBackground, tol_root: float | None = None) -> l
     most tol_root (default 1e-6) times the median |c1| over the grid.
     The antikink's levels are the kink's with E_n -> -E_n, in ascending order.
     """
+    from scipy.optimize import brentq  # here, so importing the CLI loads no scipy
+
     M, kink = bg.M, bg.kink
     Es = [g * M for g in SCAN_GRID]
     cache = dict(zip(Es, c1_bound_indicator(kink, np.array(Es)).tolist()))

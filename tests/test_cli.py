@@ -3,11 +3,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import kinkdirac
 from kinkdirac import SolitonBackground, SpectralPoint, eval_u, match_coefficients, unwrap_sweep
-from kinkdirac.cli import main
+from kinkdirac.cli import _csv_line, _fmt, main
 from kinkdirac.oracle import residuals
 
 
@@ -25,6 +31,22 @@ def run_json(argv, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(argv + ["--format", "json", "--out", str(out)])
     return code, json.loads(out.read_text())
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported where the oracle and the root search use it, so
+    # scatter and phase-sweep start without it.
+    code = "import sys, kinkdirac.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(kinkdirac.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_csv_line_writes_each_cell_as_fmt_does():
+    cells = [0.1, -0.0, math.nan, -math.inf, math.inf, 1e-300, np.float64(2.5e-7), 3,
+             True, False, "incident", "a%s,b", -123456789.123456789]
+    assert _csv_line(cells) == ",".join(_fmt(v) for v in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +147,23 @@ def test_scatter_traces_solve_the_dirac_system(tmp_path, sign, branch):
 
 
 def test_scatter_evaluates_each_local_solution_once_per_row(tmp_path, monkeypatch):
-    # 3 for the match, 2 per incident row (3 at x = 0, which prints u1), and
-    # 1 per transmitted row.
+    # 3 one-point calls for the match, then one batch per local solution: u2
+    # and u2b over the 21 incident x, u1 over the 21 transmitted x (x = 0
+    # included, which the incident side prints as well).
     from kinkdirac import cli, scattering
 
     calls = []
 
     def counting(sol, x):
-        calls.append(x)
+        calls.append((sol.family.value, np.shape(x)))
         return eval_u(sol, x)
 
     monkeypatch.setattr(cli, "eval_u", counting)
     monkeypatch.setattr(scattering, "eval_u", counting)
     code, rows, _, _ = run_csv(["scatter", "--M", "5", "--k", "2.5", "--samples", "21"], tmp_path)
     assert code == 0 and len(rows) == 42
-    assert len(calls) == 3 + (2 * 20 + 3) + 21
+    assert calls == [("u1_first", ()), ("u2_first", ()), ("u2_second", ()),
+                     ("u2_first", (21,)), ("u2_second", (21,)), ("u1_first", (21,))]
 
 
 # ---------------------------------------------------------------------------

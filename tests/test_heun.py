@@ -264,6 +264,73 @@ def test_batch_second_solution_equals_its_own_evaluation(points, family, z):
     _assert_each_equals_alone(out, [heun_second_solution(params(*kE), z) for kE in zip(k.tolist(), E.tolist())])
 
 
+def test_series_z_batch_broadcasts_against_a_parameter_batch():
+    # A (4, 1) z batch against 3 parameter sets: each of the 12 elements
+    # stops where it would alone.
+    sets = [(0.3 + 0.1j, -1, 0, 1.2, 0.8), (2j, 0.5, 1.5, 1 - 1j, 1 + 1j), (-1.5, -1, 0, 0.7, 0.3)]
+    q, al, be, ga, de = (np.array(col) for col in zip(*sets))
+    zs = np.array([[0.0], [0.1j], [0.2 - 0.1j], [-0.4]])
+    values, derivs, _ = heun_series(HeunParams(a=0.5, q=q, alpha=al, beta=be, gamma=ga, delta=de), zs)
+    assert values.shape == derivs.shape == (4, 3)
+    for i, z in enumerate(zs[:, 0].tolist()):
+        _assert_each_equals_alone((values[i], derivs[i]),
+                                  [heun_series(HeunParams(0.5, *row), z)[:2] for row in sets])
+
+
+@pytest.mark.parametrize("k", [0.05, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_x_batch_equals_pointwise_evaluation(k, branch):
+    # Each family over its side of the match at x = 0, the x a trace
+    # evaluates it at, through the series-disk edge (|z| = 0.225 at
+    # |2Kx| = 1.47): one series batch plus one Taylor chain against the
+    # one-point path per x.  At k/M = 10 the two differ by 8e-12 at x = 0,
+    # where the one-point path is 6e-12 off a 40-digit reference and the
+    # chain 2e-12.
+    bg = SolitonBackground(M=1.0, K=1.0)
+    sp = SpectralPoint.scattering(bg, k, branch)
+    for family in Family:
+        sol = build_solution(family, bg, sp)
+        xs = np.linspace(0.0, 2.0, 33) * (1.0 if family.is_u1 else -1.0)
+        u, du = eval_u(sol, xs)
+        for i, x in enumerate(xs.tolist()):
+            u_x, du_x = eval_u(sol, x)
+            scale = max(abs(u_x), abs(du_x))
+            assert abs(u[i] - u_x) <= 1e-11 * scale
+            assert abs(du[i] - du_x) <= 1e-11 * scale
+
+
+def test_z_batch_equals_pointwise_evaluation(monkeypatch):
+    # Along the arc z = 1/(1 + i e^-s) of the U2 frame through the disk edge
+    # to the matching point, in scrambled order and with a repeated target:
+    # the chain steps outward only.
+    p = ur1_params()
+    zs = 1.0 / (1.0 + 1j * np.exp(-np.array([-0.5, -3.0, 0.0, -1.0, -2.0, 0.0, -0.25, -1.4])))
+    steps = []
+    taylor_step = heun.taylor_step
+
+    def recording(params, z0, value, deriv, z1):
+        steps.append(abs(z1))
+        return taylor_step(params, z0, value, deriv, z1)
+
+    monkeypatch.setattr(heun, "taylor_step", recording)
+    values, derivs = heun_eval(p, zs)
+    assert len(steps) >= 4 and steps == sorted(steps)
+    monkeypatch.undo()
+    _assert_each_equals_alone((values, derivs), [heun_eval(p, z) for z in zs.tolist()])
+
+
+def test_target_batch_chain_is_validated_as_one_path():
+    # |z| ties keep the given order, so the chain runs from 0.8 + 0.3i
+    # straight down across the cut [1/2, inf).
+    p = ur1_params()
+    with pytest.raises(PathError, match=r"^segment \(0\.8\+0\.3j\) -> \(0\.8-0\.3j\) crosses the "
+                                        r"branch cut"):
+        heun_eval(p, np.array([0.8 + 0.3j, 0.8 - 0.3j]))
+    with pytest.raises(ValueError, match="one parameter set"):
+        heun_eval(HeunParams(a=0.5, q=np.array([0.1, 0.2]), alpha=-1, beta=0, gamma=1.2, delta=0.8),
+                  np.array([0.6 + 0.3j]))
+
+
 # ---------------------------------------------------------------------------
 # Second solution
 # ---------------------------------------------------------------------------
