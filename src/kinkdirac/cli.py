@@ -171,9 +171,10 @@ def cmd_scatter(cfg: RunConfig) -> int:
 def cmd_phase_sweep(cfg: RunConfig) -> int:
     bg = cfg.background
     ks, deltas, d = unwrap_sweep(bg, log_grid(cfg.k_min, cfg.k_max, cfg.samples), cfg.E_branch)
+    sign = -1.0 if cfg.E_branch == "negative" else 1.0  # E as SpectralPoint.scattering has it
     records = [
         {
-            "k": k, "E": SpectralPoint.scattering(bg, k, cfg.E_branch).E,
+            "k": k, "E": sign * math.hypot(bg.M, k),
             "re_c1": c1.real, "im_c1": c1.imag,
             "re_c2": c2.real, "im_c2": c2.imag,
             "T": abs(t) ** 2, "R": abs(r) ** 2,  # Python abs: numpy rounds differently

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DegenerateBasisError
 from .heun import _first_failure, _xp
 from .soliton import (Family, LocalSolution, SolitonBackground, SpectralPoint, build_solution,
-                      eval_u, ratio_squared, v_from_u)
+                      eval_u, eval_u_at_origin, ratio_squared, v_from_u)
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,8 @@ def _conjugate(kink: ScatteringData) -> ScatteringData:
 
 def _match_kink(bg: SolitonBackground, sp: SpectralPoint, x0: float) -> ScatteringData:
     """match_coefficients for the kink, at one (E, k) or, with E and k arrays,
-    at a batch of them.  W(u2_first, u2_second) is numerical, not the closed
+    at a batch of them: at x0 = 0 one Heun batch for all three local solutions
+    (eval_u_at_origin).  W(u2_first, u2_second) is numerical, not the closed
     form of spectrum.c1_bound_indicator: its rounding cancels against the
     numerator's in c1 and c2, which keeps unitarity at large k/M."""
     basis = (
@@ -116,7 +117,8 @@ def _match_kink(bg: SolitonBackground, sp: SpectralPoint, x0: float) -> Scatteri
         build_solution(Family.U2_FIRST, bg, sp),
         build_solution(Family.U2_SECOND, bg, sp),
     )
-    p1, p2, p2b = (eval_u(sol, x0) for sol in basis)
+    batch = isinstance(sp.k, np.ndarray) and x0 == 0
+    p1, p2, p2b = eval_u_at_origin(*basis) if batch else (eval_u(sol, x0) for sol in basis)
     w_den = wronskian(p2, p2b)
     scale = abs(p2[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p2[1])
     xp, ok = _xp(w_den), abs(w_den) >= BASIS_THRESHOLD * scale

@@ -278,10 +278,31 @@ def eval_u(sol: LocalSolution, x: float):
     the derivative uses the analytic chain rule through the map x -> z.  x may
     be a numpy array for one spectral point: one heun_eval batch.
     """
-    bg, sp = sol.background, sol.spectral
+    bg = sol.background
     bg.check_kink("eval_u")
     z = map_to_z(sol.family, bg, x)
-    h, dh = heun_eval(sol.params, z)
+    return _u_from_heun(sol, x, z, *heun_eval(sol.params, z))
+
+
+def eval_u_at_origin(*sols: LocalSolution):
+    """eval_u(sol, 0.0) for several local solutions of one spectral batch, from one
+    heun_eval batch at z2(0) = 1/(1 + i) = conj z1(0).  Hl(conj p, conj z) =
+    conj Hl(p, z) (the recurrence is real, the cut [a, inf) lies on the real axis),
+    so a U1 set joins the batch conjugated and its (Hl, Hl') is conjugated back."""
+    bg, n = sols[0].background, sols[0].spectral.k.size
+    bg.check_kink("eval_u_at_origin")
+    flips = [np.conjugate if sol.family.is_u1 else np.asarray for sol in sols]
+    stacked = HeunParams(HALF, *(np.concatenate([f(np.broadcast_to(getattr(sol.params, name), n))
+                                                 for f, sol in zip(flips, sols)])
+                                 for name in ("q", "alpha", "beta", "gamma", "delta")))
+    h, dh = (v.reshape(-1, n) for v in heun_eval(stacked, map_to_z(Family.U2_FIRST, bg, 0.0)))
+    return [_u_from_heun(sol, 0.0, map_to_z(sol.family, bg, 0.0), f(h_i), f(dh_i))
+            for f, sol, h_i, dh_i in zip(flips, sols, h, dh)]
+
+
+def _u_from_heun(sol: LocalSolution, x: float, z: complex, h: complex, dh: complex):
+    """(u, u') at x from (Hl, Hl') at z = map_to_z(x): prefactor and chain rule."""
+    bg, sp = sol.background, sol.spectral
     log_pref = 1j * sp.k * x
     if sol.family is Family.U2_SECOND:
         log_pref = log_pref + sol.z_power * log_z(sol.family, bg, x)

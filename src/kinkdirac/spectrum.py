@@ -29,7 +29,8 @@ import numpy as np
 from .errors import DomainError, KinkDiracError
 from .heun import _first_failure, _xp
 from .scattering import log_grid, unwrap_sweep, wronskian
-from .soliton import Family, SolitonBackground, SpectralPoint, build_solution, eval_u
+from .soliton import (Family, SolitonBackground, SpectralPoint, build_solution, eval_u,
+                      eval_u_at_origin)
 
 # Keep away from the continuum edge |E| = M where kappa -> 0.
 EDGE_MARGIN = 1e-6
@@ -75,7 +76,8 @@ def _real_phase(bg: SolitonBackground, E: float) -> complex:
 def c1_bound_indicator(bg: SolitonBackground, E: float) -> complex:
     """c1 of the kink on the bound continuation k = i sqrt(M^2 - E^2), at each E.
 
-    c1 = W(u1_first, u2_second) / (2ik e^{-pi k/K}) at x0 = 0.  Raises
+    c1 = W(u1_first, u2_second) / (2ik e^{-pi k/K}) at x0 = 0; an array of E
+    evaluates both solutions as one Heun batch (eval_u_at_origin).  Raises
     KinkDiracError when c1 is not e^{i pi (kappa/2M - 1)} times a real number
     to IMAG_TOL of the Wronskian term scale.
     """
@@ -85,8 +87,9 @@ def c1_bound_indicator(bg: SolitonBackground, E: float) -> complex:
         E = _first_failure(ok, E)[0]
         raise DomainError(f"|E| = {abs(E)} too close to the continuum edge M = {bg.M} (kappa -> 0)")
     sp = SpectralPoint.bound(bg, E)
-    p1 = eval_u(build_solution(Family.U1_FIRST, bg, sp), 0.0)
-    p2b = eval_u(build_solution(Family.U2_SECOND, bg, sp), 0.0)
+    sols = build_solution(Family.U1_FIRST, bg, sp), build_solution(Family.U2_SECOND, bg, sp)
+    batch = isinstance(sp.k, np.ndarray)
+    p1, p2b = eval_u_at_origin(*sols) if batch else (eval_u(sol, 0.0) for sol in sols)
     w_den = 2j * sp.k * xp.exp(-math.pi * sp.k / bg.K)
     c1 = wronskian(p1, p2b) / w_den
     scale = (abs(p1[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p1[1])) / abs(w_den)
@@ -152,8 +155,8 @@ def levinson_check(
 
     delta(0) is Richardson-extrapolated from the three smallest momenta
     {k_min, 2 k_min, 4 k_min} (the matching basis degenerates at k = 0);
-    delta(k_max) stands in for delta(inf); n_b counts strictly positive bound
-    energies.
+    delta(inf) is extrapolated in 1/k^2 (Lagrange) from the three largest,
+    delta(k) = delta_inf + b/k^2 + c/k^4; n_b counts strictly positive bound energies.
     """
     if not (0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")
@@ -162,7 +165,8 @@ def levinson_check(
     # Richardson on delta(k) = delta0 + a k + b k^2 at {k, 2k, 4k}.
     d1, d2, d4 = by_k[k_min], by_k[2.0 * k_min], by_k[4.0 * k_min]
     delta0 = (8.0 * d1 - 6.0 * d2 + d4) / 3.0
-    delta_inf = by_k[max(grid)]
+    top = [(1.0 / (k * k), by_k[k]) for k in grid[-3:]]  # (1/k^2, delta), Lagrange at 0
+    delta_inf = sum(d * math.prod(v / (v - u) for v, _ in top if v != u) for u, d in top)
     n_b = sum(1 for b in bound if b.E_n > 0.01 * bg.M)
     discrepancy = abs((delta0 - delta_inf) - math.pi * (n_b - 0.5))
     return LevinsonReport(

@@ -211,8 +211,9 @@ def test_phase_sweep_negative_branch(tmp_path):
 
 
 def test_phase_sweep_evaluates_each_family_once(tmp_path, monkeypatch):
-    # The 256 momenta are one batch per family: 3 heun_eval calls of 4 Taylor
-    # steps each (one call per family and momentum before batching: 768 and 3072).
+    # The 256 momenta of the three families are one Heun batch: 1 heun_eval
+    # call of 768 sets and 4 Taylor steps (one call per family and momentum
+    # before batching: 768 and 3072; one batch per family: 3 and 12).
     from kinkdirac import heun, soliton
 
     evals, steps = [], []
@@ -230,8 +231,8 @@ def test_phase_sweep_evaluates_each_family_once(tmp_path, monkeypatch):
     monkeypatch.setattr(heun, "taylor_step", counting_step)
     code, rows, _, _ = run_csv(["phase-sweep", "--samples", "256"], tmp_path)
     assert code == 0 and len(rows) == 256
-    assert evals == [(256,)] * 3
-    assert len(steps) == 12
+    assert evals == [(3 * 256,)]
+    assert len(steps) == 4
 
 
 @pytest.mark.parametrize("M", ["1", "5"])

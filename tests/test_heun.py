@@ -277,6 +277,32 @@ def test_series_z_batch_broadcasts_against_a_parameter_batch():
                                   [heun_series(HeunParams(0.5, *row), z)[:2] for row in sets])
 
 
+@pytest.mark.parametrize("kind", ["real", "imaginary"])
+def test_conjugate_parameters_give_the_conjugate_function(kind):
+    # Hl(conj p, conj z) = conj Hl(p, z) bit for bit: the recurrence and the
+    # Taylor coefficients are polynomials with real coefficients, and the
+    # singularities, the cut [a, inf) and so the path are mirror images.
+    # First- and second-solution kink sets at the matching point z = 1/2 + i/2,
+    # on Python numbers and as one batch.
+    bg = SolitonBackground(M=1.0, K=1.0)
+    if kind == "real":
+        sp = SpectralPoint.scattering(bg, np.array([1e-3, 0.5, 2.0, 10.0, 30.0, 50.0]))
+    else:
+        sp = SpectralPoint.bound(bg, np.linspace(-0.99, 0.99, 6))
+    names = ("q", "alpha", "beta", "gamma", "delta")
+    z = 0.5 + 0.5j
+    for family in Family:
+        p = build_solution(family, bg, sp).params
+        cols = [np.broadcast_to(getattr(p, name), sp.k.shape) for name in names]
+        h, dh = heun_eval(HeunParams(0.5, *cols), z)
+        h_c, dh_c = heun_eval(HeunParams(0.5, *(np.conjugate(c) for c in cols)), z.conjugate())
+        assert np.array_equal(h_c, h.conjugate()) and np.array_equal(dh_c, dh.conjugate())
+        for row in zip(*(c.tolist() for c in cols)):
+            h, dh = heun_eval(HeunParams(0.5, *row), z)
+            h_c, dh_c = heun_eval(HeunParams(0.5, *(v.conjugate() for v in row)), z.conjugate())
+            assert (h_c, dh_c) == (h.conjugate(), dh.conjugate())
+
+
 @pytest.mark.parametrize("k", [0.05, 1.0, 2.0, 10.0])
 @pytest.mark.parametrize("branch", ["positive", "negative"])
 def test_x_batch_equals_pointwise_evaluation(k, branch):

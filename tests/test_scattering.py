@@ -278,3 +278,31 @@ def test_sweep_builds_no_per_row_objects(K, monkeypatch):
         assert len(ks) == data.c1.size == n
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("M", [1.0, 5.0])
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_batched_match_equals_per_family_evaluation(M, branch, monkeypatch):
+    # A batched match evaluates its three local solutions as one Heun batch
+    # at z2(0) (u1_first through its conjugate set).  Against one batch per
+    # family it is the same bit for bit up to k = 20 M.  Above, where the
+    # match is rounding-limited, an element that stops early turns the shared
+    # z^n of the series into an array earlier: c1, t and delta stay within
+    # 1e-10 and unitarity holds, while c2 and r are rounding there.
+    from kinkdirac import scattering
+    from kinkdirac.scattering import _match_kink, log_grid
+
+    bg = SolitonBackground(M=M, K=M)
+    ks = np.array(log_grid(1e-3 * M, 50.0 * M, 256))
+    sp = SpectralPoint.scattering(bg, ks, branch)
+    joint = _match_kink(bg, sp, 0.0)
+    monkeypatch.setattr(scattering, "eval_u_at_origin", lambda *sols: [eval_u(s, 0.0) for s in sols])
+    alone = _match_kink(bg, sp, 0.0)
+    low = ks <= 20.0 * M
+    for name in ("c1", "c2", "t", "r", "delta"):
+        assert np.array_equal(getattr(joint, name)[low], getattr(alone, name)[low]), name
+    for name in ("c1", "t"):
+        a, b = getattr(joint, name), getattr(alone, name)
+        assert np.max(abs(a - b) / abs(b)) <= 1e-10, name
+    assert np.max(abs(joint.delta - alone.delta)) <= 1e-10
+    assert np.max(abs(abs(joint.t) ** 2 + abs(joint.r) ** 2 - 1.0)) <= 1e-8

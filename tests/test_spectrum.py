@@ -107,6 +107,26 @@ def test_levinson_sum_rule(bg5):
     assert report.discrepancy < 0.05 * math.pi
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_levinson_extrapolates_delta_at_infinity(sign):
+    # delta(inf) from delta = delta_inf + b/k^2 + c/k^4 through the top of the
+    # grid: at the default k_max = 50 M the sum rule holds to 4e-6, where
+    # delta(k_max) alone is 6e-4 off.
+    bg = SolitonBackground(M=5.0, K=sign * 5.0)
+    report = levinson_check(bg, find_bound_states(bg), k_min=1e-3 * bg.M, k_max=50 * bg.M)
+    assert report.discrepancy <= 1e-5
+
+
+def test_batched_indicator_equals_per_family_evaluation(bg5, monkeypatch):
+    # The scan's u1_first joins u2_second's Heun batch through its conjugate
+    # set; on the bound continuation (|k| < M) that is bit for bit one batch
+    # per family.
+    Es = np.array([g * bg5.M for g in spectrum.SCAN_GRID])
+    joint = c1_bound_indicator(bg5, Es)
+    monkeypatch.setattr(spectrum, "eval_u_at_origin", lambda *sols: [eval_u(s, 0.0) for s in sols])
+    assert np.array_equal(joint, c1_bound_indicator(bg5, Es))
+
+
 def test_levinson_light_fermion():
     bg = SolitonBackground(M=2.15e-5, K=2.15e-5, beta=1.0)
     report = levinson_check(bg, find_bound_states(bg), k_min=1e-3 * bg.M, k_max=50 * bg.M)
@@ -169,9 +189,9 @@ def test_spectrum_roots_are_sign_changes(sign):
 
 
 def test_scan_is_one_batch_per_family(bg5, monkeypatch):
-    # The 64 scan energies are evaluated as 2 batched calls (u1_first and
-    # u2_second); Brent's refinement adds only one-energy calls, 2 per
-    # energy it evaluates beyond the scan grid.
+    # The 64 scan energies are evaluated as 1 batched call of 128 sets
+    # (u1_first's conjugate and u2_second); Brent's refinement adds only
+    # one-energy calls, 2 per energy it evaluates beyond the scan grid.
     from kinkdirac import heun, soliton
 
     shapes = []
@@ -184,5 +204,5 @@ def test_scan_is_one_batch_per_family(bg5, monkeypatch):
     monkeypatch.setattr(soliton, "heun_eval", counting)
     assert len(find_bound_states(bg5)) == 2
     batched = [s for s in shapes if s]
-    assert batched == [(spectrum.SCAN_POINTS,)] * 2
-    assert shapes[:2] == batched and len(shapes) % 2 == 0 and len(shapes) > 2
+    assert batched == [(2 * spectrum.SCAN_POINTS,)]
+    assert shapes[:1] == batched and len(shapes) % 2 == 1 and len(shapes) > 1
