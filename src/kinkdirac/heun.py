@@ -16,7 +16,9 @@ a to +infinity.
 Each function takes one parameter set or a batch: any of q, alpha, beta,
 gamma, delta a 1-D numpy array.  A batch shares a and z, so the path and its
 steps, and runs each loop once over all elements; an element stops adding
-terms where it would stop alone.  One set stays on Python complex arithmetic.
+terms where it would stop alone: its new coefficients are zeroed, and the
+shared powers of z stay one number, so its value does not depend on its batch
+mates.  One set stays on Python complex arithmetic.
 heun_series, heun_continue and heun_eval also take a numpy array of z.
 """
 
@@ -194,8 +196,8 @@ def heun_series(params: HeunParams, z: complex):
     h_prev, h_cur = 0j, 1.0 + 0j
     value = 1.0 + 0j
     deriv = 0j
-    zn = 1.0 + 0j  # z**n, zero for the elements that have stopped
-    streak = 0
+    zn = 1.0 + 0j  # z**n
+    streak, live = 0, True  # live is False for the elements that have stopped
     truncated = False
     # R_{n-1}, R_n and P_n carried forward; each term needs one new call.
     R_prev = 0j
@@ -215,15 +217,16 @@ def heun_series(params: HeunParams, z: complex):
                     coeffs.append(h_next)
                     return value, deriv, SeriesState(tuple(coeffs), n + 1, truncated)
         coeffs.append(h_next)
-        term = h_next * zn * z
+        h_add = h_next if live is True else h_next * live
+        term = h_add * zn * z
         value += term
-        deriv = deriv + (n + 1) * h_next * zn  # not +=: a z batch may widen it
+        deriv = deriv + (n + 1) * h_add * zn  # not +=: a z batch may widen it
         zn *= z
         streak = (streak + 1) * (abs(term) < TOL * maximum(abs(value), _TINY))
         if some(streak >= 3):
             if every(streak >= 3):
                 return value, deriv, SeriesState(tuple(coeffs), n + 1, truncated)
-            zn = zn * (streak < 3)
+            live = streak < 3
         h_prev, h_cur = h_cur, h_next
         R_prev, R_n, P_n = R_n, R_next, P_next
     raise ConvergenceError(
@@ -406,8 +409,8 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
     c = [value, deriv]
     val = c[0] + c[1] * t
     dv = c[1]
-    tn = t  # t**(m+1) entering iteration m, zero for the elements that have stopped
-    streak = 0
+    tn = t  # t**(m+1) entering iteration m
+    streak, live = 0, True  # live is False for the elements that have stopped
     for m in range(N_MAX_TAYLOR):
         s = 0j
         for j in range(1, min(3, m) + 1):
@@ -417,6 +420,7 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
         for j in range(0, min(1, m) + 1):
             s += C[j] * c[m - j]
         c_new = -s / (A[0] * (m + 2) * (m + 1))
+        c_new = c_new if live is True else c_new * live  # zeros cannot grow to inf
         c.append(c_new)
         tn *= t  # now t**(m+2)
         term = c_new * tn
@@ -426,10 +430,7 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
         if some(streak >= 3):
             if every(streak >= 3):
                 return val, dv
-            # A stopped element adds no terms, and its coefficients become
-            # exact zeros so they cannot grow to inf (inf * 0 = nan).
-            tn = tn * (streak < 3)
-            c[-1] = c_new * (streak < 3)
+            live = streak < 3
     raise ConvergenceError(
         f"taylor_step: no convergence from {z0} to {z1} within {N_MAX_TAYLOR} terms "
         f"for {_element(params, streak >= 3)}"

@@ -2,18 +2,18 @@
 
 Bound energies are the real zeros of c1(E, i kappa) with kappa = sqrt(M^2-E^2):
 at a zero the transmitted-frame solution loses its growing component on the
-incident side and decays in both tails.  Two identities make them plain sign
-changes of one real function of E:
+incident side and decays in both tails.  Two identities make them the roots
+of one real function of E:
 
 - Abel's identity fixes the matching denominator in closed form,
   W(u2_first, u2_second)|_{x=0} = 2ik e^{-pi k/K}, so c1 needs only u1_first
   and u2_second.  u2_first, the only factor that degenerates at E = 0 (its
   gamma is 0 there), is never built.
-- c1(E) = e^{i pi (kappa/2M - 1)} f(E) with f real, so the roots are the sign
-  changes of f(E) = Re(c1 e^{-i pi (kappa/2M - 1)}), the zero mode included.
+- c1(E) = e^{i pi (kappa/2M - 1)} f(E) with f real, and with E = M cos theta
+  sin theta f(E) is analytic on [0, pi]: one Chebyshev interpolant in theta.
 
-Levinson's theorem ties the phase shift at threshold to the number of
-strictly bound states in the channel,
+Levinson's theorem ties the phase shift at threshold to the number n_b of
+bound states in the channel with E_n > 0.01 M,
 
     delta(0) - delta(inf) = pi (n_b - 1/2).
 """
@@ -21,8 +21,7 @@ strictly bound states in the channel,
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +33,12 @@ from .soliton import (Family, SolitonBackground, SpectralPoint, build_solution, 
 
 # Keep away from the continuum edge |E| = M where kappa -> 0.
 EDGE_MARGIN = 1e-6
-# Energies E/M where find_bound_states samples the sign of the real indicator:
-# (-1, 1) less a 1e-3 margin at each continuum edge.
-SCAN_POINTS = 64
-SCAN_GRID = tuple(-1.0 + 1e-3 + (2.0 - 2e-3) * i / (SCAN_POINTS - 1) for i in range(SCAN_POINTS))
+# Chebyshev nodes in theta, E = M cos theta (from 40 on, the outermost are inside EDGE_MARGIN).
+CHEB_NODES = 32
+# Largest trailing coefficient accepted, relative to the largest (32 nodes: 1.7e-13).
+CHEB_TAIL_TOL = 1e-11
 # Largest |Im(c1 e^{-i pi (kappa/2M - 1)})| accepted, relative to the scale of
-# the Wronskian's terms; above it the sign of the real part means nothing.
+# the Wronskian's terms; above it the real part means nothing.
 IMAG_TOL = 1e-9
 
 
@@ -47,7 +46,7 @@ IMAG_TOL = 1e-9
 class BoundState:
     """One bound level: energy, decay constant, root residual, and index.
 
-    residual is |c1(E_n)| over the median |c1| of the scan grid, the
+    residual is |c1(E_n)| over the median |c1| at the Chebyshev nodes, the
     quantity find_bound_states compares with tol_root.
     """
 
@@ -105,41 +104,37 @@ def c1_bound_indicator(bg: SolitonBackground, E: float) -> complex:
 
 
 def find_bound_states(bg: SolitonBackground, tol_root: float | None = None) -> list[BoundState]:
-    """Bound levels as the roots of c1 on (-M, M).
-
-    The indicator over SCAN_GRID is one batch; Brent's method refines every
-    sign change one energy at a time.  A root is kept when |c1| there is at
-    most tol_root (default 1e-6) times the median |c1| over the grid.
-    The antikink's levels are the kink's with E_n -> -E_n, in ascending order.
+    """Bound levels as the roots of c1 on (-M, M): the real roots, by the colleague
+    matrix (Boyd, SIAM J. Numer. Anal. 40, 1666, 2002), of the real indicator's
+    interpolant at CHEB_NODES Chebyshev nodes in theta, one batch; its trailing
+    coefficients certify the root count.  A root is kept when |c1| there is at
+    most tol_root (default 1e-6) times the median |c1| over the nodes.  The
+    antikink's levels are the kink's with E_n -> -E_n, in ascending order.
     """
-    from scipy.optimize import brentq  # here, so importing the CLI loads no scipy
+    from numpy.polynomial.chebyshev import chebroots  # here: it costs import time
 
-    M, kink = bg.M, bg.kink
-    Es = [g * M for g in SCAN_GRID]
-    cache = dict(zip(Es, c1_bound_indicator(kink, np.array(Es)).tolist()))
-
-    def c1(E: float) -> complex:
-        return cache[E] if E in cache else cache.setdefault(E, c1_bound_indicator(kink, E))
-
-    def f(E: float) -> float:
-        return (c1(E) * _real_phase(bg, E)).real
-
-    fs = [f(E) for E in Es]
-    median = statistics.median(abs(c1(E)) for E in Es)
-    accept = tol_root if tol_root is not None else 1e-6
+    M, kink, n, sign = bg.M, bg.kink, CHEB_NODES, math.copysign(1.0, bg.K)
+    angles = (np.arange(n) + 0.5) * math.pi / n
+    theta = 0.5 * math.pi * (1.0 + np.cos(angles))  # first-kind nodes mapped to (0, pi)
+    Es = M * np.cos(theta)
+    c1 = c1_bound_indicator(kink, Es)
+    g = (np.sin(theta) * c1 * _real_phase(bg, Es)).real
+    coeffs = np.cos(np.outer(np.arange(n), angles)) @ g * (2.0 / n)
+    coeffs[0] *= 0.5
+    tail = np.max(abs(coeffs[-2:])) / np.max(abs(coeffs))
+    if not tail <= CHEB_TAIL_TOL:
+        raise KinkDiracError(f"find_bound_states: at M = {M} the trailing coefficients of the "
+                             f"{n}-node Chebyshev interpolant are {tail:.3g} of its largest, "
+                             f"above {CHEB_TAIL_TOL:.0e}")
+    # Real roots; the complex ones keep at least 0.2 from the real axis.
+    levels = [M * math.cos(0.5 * math.pi * (1.0 + t.real)) for t in chebroots(coeffs)
+              if abs(t.imag) <= 1e-8 and abs(t.real) < 1.0]
+    median, accept = float(np.median(abs(c1))), 1e-6 if tol_root is None else tol_root
     out: list[BoundState] = []
-    for (a, fa), (b, fb) in zip(zip(Es, fs), zip(Es[1:], fs[1:])):
-        if fa * fb < 0 or fb == 0:
-            # Brent returns a point it evaluated, so the residual is cached.
-            E_n = brentq(f, a, b, xtol=1e-13 * M)
-            residual = abs(c1(E_n)) / median
-            if residual <= accept:
-                out.append(BoundState(
-                    E_n=E_n, kappa=math.sqrt(M * M - E_n * E_n),
-                    residual=residual, index=len(out),
-                ))
-    if bg.K < 0:
-        return [replace(b, E_n=-b.E_n, index=i) for i, b in enumerate(reversed(out))]
+    for E_n in sorted(sign * E for E in levels if abs(E) < M * (1.0 - EDGE_MARGIN)):
+        residual = abs(c1_bound_indicator(kink, sign * E_n)) / median
+        if residual <= accept:
+            out.append(BoundState(E_n, math.sqrt(M * M - E_n * E_n), residual, len(out)))
     return out
 
 
@@ -156,7 +151,7 @@ def levinson_check(
     delta(0) is Richardson-extrapolated from the three smallest momenta
     {k_min, 2 k_min, 4 k_min} (the matching basis degenerates at k = 0);
     delta(inf) is extrapolated in 1/k^2 (Lagrange) from the three largest,
-    delta(k) = delta_inf + b/k^2 + c/k^4; n_b counts strictly positive bound energies.
+    delta(k) = delta_inf + b/k^2 + c/k^4; n_b counts the levels with E_n > 0.01 M.
     """
     if not (0 < k_min < k_max):
         raise ValueError("need 0 < k_min < k_max")

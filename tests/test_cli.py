@@ -33,14 +33,22 @@ def run_json(argv, tmp_path, name="out.json"):
     return code, json.loads(out.read_text())
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported where the oracle and the root search use it, so
-    # scatter and phase-sweep start without it.
-    code = "import sys, kinkdirac.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # Only the oracle imports scipy, where it integrates; importing the CLI
+    # and running bound-states and phase-sweep never load it.
+    code = (
+        "import sys; from kinkdirac.cli import main\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        f"main(['bound-states', '--out', {str(tmp_path / 'b.csv')!r}])\n"
+        f"main(['phase-sweep', '--samples', '16', '--out', {str(tmp_path / 'p.csv')!r}])\n"
+        "print(loaded())\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(kinkdirac.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]
+    assert (tmp_path / "b.csv").read_text().count("\n") > 2
 
 
 def test_csv_line_writes_each_cell_as_fmt_does():

@@ -118,10 +118,10 @@ def test_levinson_extrapolates_delta_at_infinity(sign):
 
 
 def test_batched_indicator_equals_per_family_evaluation(bg5, monkeypatch):
-    # The scan's u1_first joins u2_second's Heun batch through its conjugate
+    # A batch's u1_first joins u2_second's Heun batch through its conjugate
     # set; on the bound continuation (|k| < M) that is bit for bit one batch
     # per family.
-    Es = np.array([g * bg5.M for g in spectrum.SCAN_GRID])
+    Es = np.array([(-1.0 + 1e-3 + (2.0 - 2e-3) * i / 63) * bg5.M for i in range(64)])
     joint = c1_bound_indicator(bg5, Es)
     monkeypatch.setattr(spectrum, "eval_u_at_origin", lambda *sols: [eval_u(s, 0.0) for s in sols])
     assert np.array_equal(joint, c1_bound_indicator(bg5, Es))
@@ -189,9 +189,9 @@ def test_spectrum_roots_are_sign_changes(sign):
 
 
 def test_scan_is_one_batch_per_family(bg5, monkeypatch):
-    # The 64 scan energies are evaluated as 1 batched call of 128 sets
-    # (u1_first's conjugate and u2_second); Brent's refinement adds only
-    # one-energy calls, 2 per energy it evaluates beyond the scan grid.
+    # The 32 Chebyshev nodes are evaluated as 1 batched call of 64 sets
+    # (u1_first's conjugate and u2_second); each root's residual adds one
+    # one-energy c1, 2 calls per root.
     from kinkdirac import heun, soliton
 
     shapes = []
@@ -203,6 +203,52 @@ def test_scan_is_one_batch_per_family(bg5, monkeypatch):
 
     monkeypatch.setattr(soliton, "heun_eval", counting)
     assert len(find_bound_states(bg5)) == 2
-    batched = [s for s in shapes if s]
-    assert batched == [(2 * spectrum.SCAN_POINTS,)]
-    assert shapes[:1] == batched and len(shapes) % 2 == 1 and len(shapes) > 1
+    assert shapes == [(2 * spectrum.CHEB_NODES,)] + [()] * 4
+
+
+def test_indicator_element_alone_equals_its_batch_value(bg5):
+    # No element's value depends on the elements that share its batch.
+    Es = np.linspace(-0.999 * bg5.M, 0.999 * bg5.M, 64)
+    batch = c1_bound_indicator(bg5, Es)
+    for i in range(Es.size):
+        assert c1_bound_indicator(bg5, Es[i:i + 1])[0] == batch[i]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("M", [1.0, 9.2])
+def test_root_count_matches_an_independent_sign_scan(M, sign):
+    # 512 energies of the real indicator, one batch, inside the edge margin:
+    # its sign changes bracket exactly the levels, one per bracket.  The
+    # antikink's levels are checked through the mirror E_n -> -E_n.
+    bg = SolitonBackground(M=M, K=sign * M)
+    kink_levels = sorted(sign * s.E_n for s in find_bound_states(bg))
+    Es = np.linspace(-1.0 + 2e-6, 1.0 - 2e-6, 512) * M
+    f = (c1_bound_indicator(bg.kink, Es) * spectrum._real_phase(bg, Es)).real
+    brackets = [(a, b) for a, b, fa, fb in zip(Es, Es[1:], f, f[1:]) if fa * fb <= 0]
+    assert len(brackets) == len(kink_levels) == 2
+    for (a, b), E_n in zip(brackets, kink_levels):
+        assert a <= E_n <= b
+
+
+def test_too_few_chebyshev_nodes_fail_certification(bg5, monkeypatch):
+    # At 16 nodes the trailing coefficients are about 6e-7 of the largest.
+    monkeypatch.setattr(spectrum, "CHEB_NODES", 16)
+    with pytest.raises(KinkDiracError, match=r"^find_bound_states: at M = 5\.0 the trailing"):
+        find_bound_states(bg5)
+
+
+@pytest.mark.parametrize("M", [2.15e-5, 1.0, 9.2])
+def test_zero_mode_in_closed_form(M):
+    # At E = 0 the Riccati equation for w = u'/u has the solution
+    # w = M (-tanh 2Mx + i sech 2Mx), so u0 = sqrt(sech 2Mx) e^{i arctan e^{2Mx}}
+    # (Jackiw and Rebbi, Phys. Rev. D 13, 3398, 1976).  u1_first at E = 0 is
+    # u0 up to a constant, and the computed level is E = 0.
+    bg = SolitonBackground(M=M, K=M)
+    xs = np.linspace(-4.0 / M, 4.0 / M, 81)
+    u, du = eval_u(build_solution(Family.U1_FIRST, bg, SpectralPoint.bound(bg, 0.0)), xs)
+    s = 2.0 * M * xs
+    ratio = u / (np.sqrt(1.0 / np.cosh(s)) * np.exp(1j * np.arctan(np.exp(s))))
+    assert np.max(abs(ratio / ratio[40] - 1.0)) <= 1e-10
+    assert np.max(abs(du / u - M * (-np.tanh(s) + 1j / np.cosh(s)))) <= 1e-10 * M
+    zero = min(find_bound_states(bg), key=lambda b: abs(b.E_n))
+    assert abs(zero.E_n) <= 1e-12 * M
