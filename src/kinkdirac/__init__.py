@@ -18,10 +18,8 @@ from .errors import (
     StepFailure,
 )
 from .heun import (
-    ContinuationPath,
     HeunParams,
     SeriesState,
-    heun_continue,
     heun_eval,
     heun_second_solution,
     heun_series,

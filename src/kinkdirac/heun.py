@@ -19,7 +19,10 @@ steps, and runs each loop once over all elements; an element stops adding
 terms where it would stop alone: its new coefficients are zeroed, and the
 shared powers of z stay one number, so its value does not depend on its batch
 mates.  One set stays on Python complex arithmetic.
-heun_series, heun_continue and heun_eval also take a numpy array of z.
+heun_series and heun_eval also take a numpy array of z.  heun_eval reaches
+the targets beyond the series dispatch radius by one Taylor chain, along
+default_path to the innermost, then straight through the others in order of
+|z|, and validates that polyline once.
 """
 
 from __future__ import annotations
@@ -184,6 +187,8 @@ def heun_series(params: HeunParams, z: complex):
     terms after that, and the sum ends when every element has.
     """
     z, ops = (z.astype(complex), _NP) if isinstance(z, np.ndarray) else (complex(z), params._ops)
+    if not ops.all(ops.isfinite(z)):
+        raise DomainError(f"heun_series: non-finite z = {_first_failure(ops.isfinite(z), z)[0]}")
     rad = params.radius
     if ops.any(abs(z) > DISK_MARGIN * rad):
         raise DomainError(
@@ -319,39 +324,21 @@ def _path_fault(params: HeunParams, waypoints, clearance: float) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class ContinuationPath:
-    """Piecewise-linear continuation path through the cut plane."""
-
-    waypoints: tuple[complex, ...]
-    min_singularity_distance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "waypoints", tuple(complex(w) for w in self.waypoints))
-        if len(self.waypoints) < 1:
-            raise PathError("a continuation path needs at least one waypoint")
-
-    def validate(self, params: HeunParams) -> None:
-        fault = _path_fault(params, self.waypoints, self.min_singularity_distance)
-        if fault is not None:
-            raise PathError(fault)
+def _clearance(params: HeunParams, points) -> float:
+    """The clearance a path through points keeps from {0, 1, a}: MIN_CLEARANCE,
+    reduced to half the least distance of a point from one of them."""
+    return min(MIN_CLEARANCE, 0.5 * np.abs(np.subtract.outer(points, params.singularities)).min())
 
 
-def default_path(params: HeunParams, z_target: complex) -> ContinuationPath:
-    """Straight segment from a point inside the series disk, or a two-segment
-    perpendicular detour when the straight segment lacks clearance."""
+def default_path(params: HeunParams, z_target: complex) -> tuple[complex, ...]:
+    """Waypoints from r0 z/|z| on the series disk (r0 = DISK_MARGIN/2 times its
+    radius) to z_target: a straight segment, or a two-segment perpendicular
+    detour when the straight segment lacks clearance."""
     z_target = complex(z_target)
-    sings = params.singularities
-    rad = params.radius
-    r0 = 0.5 * DISK_MARGIN * rad
-    if abs(z_target) <= r0:
-        return ContinuationPath((z_target,), min(abs(z_target - s) for s in sings))
-    z0 = r0 * z_target / abs(z_target)
-    d_target = min(abs(z_target - s) for s in sings)
-    d_start = min(abs(z0 - s) for s in sings)
-    if d_target == 0:
+    z0 = 0.5 * DISK_MARGIN * params.radius * z_target / abs(z_target)
+    required = _clearance(params, [z0, z_target])
+    if required == 0:
         raise PathError(f"continuation target {z_target} is a singular point")
-    required = min(MIN_CLEARANCE, 0.5 * d_target, 0.5 * d_start)
 
     def candidates():
         yield (z0, z_target)
@@ -370,8 +357,7 @@ def default_path(params: HeunParams, z_target: complex) -> ContinuationPath:
 
     for pts in candidates():
         if _path_fault(params, pts, required) is None:
-            clear = min(_segment_clearance(p, q, sings) for p, q in zip(pts, pts[1:]))
-            return ContinuationPath(pts, min(required, clear))
+            return pts
     raise PathError(f"no admissible default path from {z0} to {z_target}")
 
 
@@ -437,51 +423,9 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
     )
 
 
-def heun_continue(params: HeunParams, z_target: complex, path: ContinuationPath | None = None):
-    """Analytic continuation of (Hl, Hl') to z_target along a path.
-
-    The path's first waypoint must lie inside the series disk; each segment is
-    traversed by Taylor steps no longer than STEP_FRACTION times the distance
-    to the nearest singularity.  A caller-supplied path is validated first.
-
-    A numpy array of targets (one parameter set) is one batch: one series call
-    inside the dispatch radius, one Taylor chain, validated as one path,
-    straight through the others in order of |z|.
-    """
-    if not isinstance(z_target, np.ndarray):
-        z_target = complex(z_target)
-        if path is None:
-            path = default_path(params, z_target)
-        else:
-            path.validate(params)
-        targets = list(path.waypoints[1:])
-        if not targets or targets[-1] != z_target:
-            targets.append(z_target)
-        return list(_chain(params, path.waypoints[0], targets))[-1]
-    if params._ops is not _ONE:
-        raise ValueError("a batch of targets takes one parameter set")
-    value, deriv = np.empty((2,) + z_target.shape, complex)
-    inner = abs(z_target) <= 0.5 * DISK_MARGIN * params.radius
-    if inner.any():
-        value[inner], deriv[inner], _ = heun_series(params, z_target[inner])
-    outer = np.flatnonzero(~inner)[np.argsort(abs(z_target[~inner]), kind="stable")]
-    if outer.size:
-        first = complex(z_target[outer[0]])
-        chain = [0.5 * DISK_MARGIN * params.radius * first / abs(first)] + z_target[outer].tolist()
-        clear = min(np.abs(np.array(chain) - s).min() for s in params.singularities)
-        ContinuationPath(chain, min(MIN_CLEARANCE, 0.5 * clear)).validate(params)
-        value[outer], deriv[outer] = np.array(list(_chain(params, chain[0], chain[1:]))).T
-    return value, deriv
-
-
 def _chain(params: HeunParams, start: complex, targets):
     """Yield (Hl, Hl') at each target: the series at start, then Taylor steps."""
     sings = params.singularities
-    if abs(start) > DISK_MARGIN * params.radius:
-        raise DomainError(
-            f"path start {start} lies outside the series disk of radius "
-            f"{DISK_MARGIN * params.radius:.6g}"
-        )
     value, deriv, _ = heun_series(params, start)
     zc = start
     for w_end in targets:
@@ -501,13 +445,41 @@ def _chain(params: HeunParams, start: complex, targets):
         yield value, deriv
 
 
-def heun_eval(params: HeunParams, z: complex):
+def heun_eval(params: HeunParams, z):
     """Evaluate (Hl(z), Hl'(z)) anywhere in the cut plane.
 
-    Uses the power series deep inside the convergence disk and chained Taylor
-    continuation elsewhere; a numpy array of z is one heun_continue batch.
+    z is one point, or a numpy array of targets for one parameter set.  The
+    targets within r0 = DISK_MARGIN/2 times the series radius are one series
+    call.  The others are one Taylor chain: along default_path to the
+    innermost of them, then straight from target to target in order of |z|.
+    That polyline is validated once: no segment crosses the cut, and each
+    keeps MIN_CLEARANCE from {0, 1, a}, or half the least distance of the
+    disk point or a target from them if that is less.  The cut [a, +inf)
+    covers z = 1 too only for a real a in (0, 1), so continuation needs such
+    an a.
     """
-    if isinstance(z, np.ndarray) or not abs(complex(z)) <= 0.5 * DISK_MARGIN * params.radius:
-        return heun_continue(params, z)
-    value, deriv, _ = heun_series(params, complex(z))
+    zs = np.atleast_1d(z).astype(complex)
+    if not np.isfinite(zs).all():
+        raise DomainError(f"heun_eval: non-finite z = {_first_failure(np.isfinite(zs), zs)[0]}")
+    if isinstance(z, np.ndarray) and params._ops is not _ONE:
+        raise ValueError("a batch of targets takes one parameter set")
+    inner = abs(zs) <= 0.5 * DISK_MARGIN * params.radius
+    outer = np.flatnonzero(~inner)[np.argsort(abs(zs[~inner]), kind="stable")]
+    if outer.size:
+        if params.a.imag != 0 or not 0 < params.a.real < 1:
+            raise DomainError(f"heun_eval: continuation beyond the series disk needs a real a in "
+                              f"(0, 1), where the cut [a, +inf) covers z = 1; a = {params.a}")
+        targets = zs[outer].tolist()
+        chain = default_path(params, targets[0]) + tuple(targets[1:])
+        fault = _path_fault(params, chain, _clearance(params, [chain[0]] + targets))
+        if fault is not None:
+            raise PathError(fault)
+        reached = list(_chain(params, chain[0], chain[1:]))[-len(targets):]
+    if not isinstance(z, np.ndarray):
+        return reached[0] if outer.size else heun_series(params, complex(z))[:2]
+    value, deriv = np.empty((2,) + zs.shape, complex)
+    if inner.any():
+        value[inner], deriv[inner], _ = heun_series(params, zs[inner])
+    if outer.size:
+        value[outer], deriv[outer] = np.array(reached).T
     return value, deriv

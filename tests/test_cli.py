@@ -413,6 +413,19 @@ def test_degenerate_second_solution_names_its_stage(tmp_path, capsys, gamma):
     assert f"heun_second_solution: gamma = ({gamma}+0j)" in err
 
 
+@pytest.mark.parametrize("a,z,reason", [
+    ("2", "1.5+0.3j", "needs a real a in (0, 1)"), ("0.5", "nan", "non-finite z = (nan+0j)"),
+])
+def test_heun_eval_outside_its_domain_exits_3(tmp_path, capsys, a, z, reason):
+    # Continuation with a outside (0, 1) could land on either side of the
+    # cut from z = 1; a non-finite z has no value at all.
+    assert main(["heun-eval", "--a", a, "--q", "0.3", "--alpha", "-1", "--beta-heun", "0",
+                 "--gamma", "1.2", "--delta", "0.8", "--z", z,
+                 "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "heun_eval: " in err and reason in err
+
+
 def test_overflowing_momentum_exits_3(tmp_path, capsys):
     # e^(pi k/4K) overflows a double at k/M = 1000: a typed numerical failure.
     assert main(["scatter", "--M", "1", "--k", "1000", "--out",

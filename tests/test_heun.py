@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinkdirac import (
-    ContinuationPath,
     ConvergenceError,
     DegenerateGammaError,
     DomainError,
@@ -23,7 +22,6 @@ from kinkdirac import (
     SpectralPoint,
     build_solution,
     eval_u,
-    heun_continue,
     heun_second_solution,
     heun_series,
     integrate_heun,
@@ -421,7 +419,7 @@ def test_batch_convergence_error_names_the_slow_element(monkeypatch):
     monkeypatch.setattr(heun, "N_MAX_TAYLOR", 40)
     batch = HeunParams(a=0.5, q=np.array([0.3, 40j]), alpha=-1, beta=0, gamma=1.2, delta=0.8)
     with pytest.raises(ConvergenceError, match=r"^taylor_step: .*q=40j"):
-        heun_continue(batch, 0.5 + 0.5j)
+        heun_eval(batch, 0.5 + 0.5j)
     # At the default budget k/M = 180 does not converge and 0.001 does.  In
     # either order the error names 180: the stopped element's coefficients
     # are zeroed, so they never reach inf * 0 = nan, and numpy does not warn.
@@ -473,8 +471,7 @@ def test_continuation_agrees_with_series_on_overlap():
     p = ur1_params()
     z = 0.3 + 0.2j  # inside the disk but past the series-dispatch radius
     v_series, d_series, _ = heun_series(p, z)
-    path = ContinuationPath((0.1 * z / abs(z), z), 0.05)
-    v_cont, d_cont = heun_continue(p, z, path)
+    v_cont, d_cont = heun_eval(p, z)
     assert abs(v_cont - v_series) <= 1e-12 * abs(v_series)
     assert abs(d_cont - d_series) <= 1e-11 * abs(d_series)
 
@@ -483,17 +480,16 @@ def test_continuation_matches_ode_at_matching_point():
     # z = (1+i)/2 has |z| ~ 0.707, outside the convergence disk.
     p = ur1_params()
     z = 0.5 + 0.5j
-    v, _ = heun_continue(p, z)
-    path = default_path(p, z)
-    v_ode, _ = integrate_heun(p, path.waypoints)
+    v, _ = heun_eval(p, z)
+    v_ode, _ = integrate_heun(p, default_path(p, z))
     assert abs(v - v_ode) <= 1e-8 * abs(v_ode)
 
 
 def test_continuation_matches_ode_uright12():
     p = uright12_params()
     z = 0.5 - 0.5j
-    v, _ = heun_continue(p, z)
-    v_ode, _ = integrate_heun(p, default_path(p, z).waypoints)
+    v, _ = heun_eval(p, z)
+    v_ode, _ = integrate_heun(p, default_path(p, z))
     assert abs(v - v_ode) <= 1e-8 * abs(v_ode)
 
 
@@ -502,34 +498,37 @@ def test_second_solution_continues_beyond_disk(z):
     p = ur1_params()
     v, _ = heun_second_solution(p, z)
     shifted = second_solution_params(p)
-    h_ode, _ = integrate_heun(shifted, default_path(shifted, z).waypoints)
+    h_ode, _ = integrate_heun(shifted, default_path(shifted, z))
     v_ode = cmath.exp((1 - p.gamma) * cmath.log(z)) * h_ode
     assert abs(v - v_ode) <= 1e-8 * abs(v_ode)
 
 
 def test_path_independence_of_homotopic_paths():
+    # A target batch steps through its inner targets on the way to z, so
+    # these reach z by three homotopic polylines.
     p = ur1_params()
     z = 0.5 + 0.5j
-    pa = ContinuationPath((0.2j, 0.2 + 0.6j, z), 0.08)
-    pb = ContinuationPath((0.2 * z / abs(z), -0.2 + 0.4j, z), 0.08)
-    va, _ = heun_continue(p, z, pa)
-    vb, _ = heun_continue(p, z, pb)
-    assert abs(va - vb) <= 1e-8 * abs(va)
+    v, _ = heun_eval(p, z)
+    for via in (0.2 + 0.6j, -0.2 + 0.4j):
+        values, _ = heun_eval(p, np.array([z, via]))
+        assert abs(values[0] - v) <= 1e-8 * abs(v)
 
 
 def test_path_crossing_cut_rejected():
-    p = ur1_params()
     # From the upper to the lower half-plane across the real axis right of a.
-    path = ContinuationPath((0.2, 0.8 + 0.3j, 0.8 - 0.3j), 0.05)
-    with pytest.raises(PathError):
-        heun_continue(p, 0.8 - 0.3j, path)
+    p = ur1_params()
+    with pytest.raises(PathError, match=r"^segment \(0\.6\+0\.1j\) -> \(0\.9-0\.2j\) crosses the "
+                                        r"branch cut"):
+        heun_eval(p, np.array([0.9 - 0.2j, 0.6 + 0.1j]))
 
 
 def test_path_clearance_enforced():
+    # Every target is 0.2 from a = 1/2, but the segment between them passes
+    # within 0.05 of it.
     p = ur1_params()
-    path = ContinuationPath((0.2, 0.5 + 1e-6j, 0.8 + 0.3j), 0.05)
-    with pytest.raises(PathError):
-        heun_continue(p, 0.8 + 0.3j, path)
+    with pytest.raises(PathError, match=r"^segment \(0\.3\+0\.05j\) -> \(0\.7\+0\.05j\) comes "
+                                        r"closer than 0\.1 to a singularity"):
+        heun_eval(p, np.array([0.7 + 0.05j, 0.3 + 0.05j]))
 
 
 def test_default_path_detours_near_singular_targets():
@@ -538,10 +537,46 @@ def test_default_path_detours_near_singular_targets():
     p = ur1_params()
     z = 0.97 + 0.02j
     path = default_path(p, z)
-    path.validate(p)
-    v, _ = heun_continue(p, z, path)
-    v_ode, _ = integrate_heun(p, path.waypoints)
+    assert len(path) == 3
+    v, _ = heun_eval(p, z)
+    v_ode, _ = integrate_heun(p, path)
     assert abs(v - v_ode) <= 1e-7 * abs(v_ode)
+
+
+@pytest.mark.parametrize("z", [1 / (1 + 1j * math.exp(1.0)), 0.97 + 0.02j])
+def test_one_target_batch_is_the_scalar_call(z):
+    # One routine builds the chain for one target and many: a batch of one
+    # takes the same path, detour included, to the same bits.
+    p = ur1_params()
+    value, deriv = heun_eval(p, np.array([z]))
+    assert (value[0], deriv[0]) == heun_eval(p, z)
+
+
+def test_non_finite_z_raises_domain_error():
+    p = ur1_params()
+    for bad in (complex("nan"), complex("inf"), complex(0.1, float("-inf"))):
+        with pytest.raises(DomainError, match=r"^heun_eval: non-finite z"):
+            heun_eval(p, bad)
+        with pytest.raises(DomainError, match=r"^heun_series: non-finite z"):
+            heun_series(p, bad)
+    with pytest.raises(DomainError, match=r"^heun_eval: non-finite z = \(nan\+0j\)"):
+        heun_eval(p, np.array([0.1, 0.5 + 0.5j, complex("nan")]))
+    with pytest.raises(DomainError, match=r"^heun_series: non-finite z = \(inf\+0j\)"):
+        heun_series(p, np.array([0.1, complex("inf")]))
+
+
+@pytest.mark.parametrize("a,z", [(2.0, 1.5 + 0.3j), (0.5 + 0.4j, 0.6 + 0.8j), (-0.5, -0.8 + 0.1j)])
+def test_continuation_needs_real_a_between_0_and_1(a, z):
+    # The cut check assumes the cut [a, +inf) covers z = 1, which holds only
+    # for a real a in (0, 1); elsewhere two admissible paths can disagree.
+    p = HeunParams(a=a, q=0.3, alpha=-1, beta=0, gamma=1.2, delta=0.8)
+    with pytest.raises(DomainError, match=r"^heun_eval: .*real a in \(0, 1\).*a = "):
+        heun_eval(p, z)
+    with pytest.raises(DomainError, match=r"^heun_eval: .*real a in \(0, 1\)"):
+        heun_eval(p, np.array([0.1j, z]))
+    # Series-only calls take any a.
+    inner = 0.2 * p.radius * z / abs(z)
+    assert heun_eval(p, inner) == heun_series(p, inner)[:2]
 
 
 def test_pipeline_evaluates_at_one_tolerance():
