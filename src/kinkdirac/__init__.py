@@ -19,7 +19,6 @@ from .errors import (
 )
 from .heun import (
     HeunParams,
-    SeriesState,
     heun_eval,
     heun_second_solution,
     heun_series,

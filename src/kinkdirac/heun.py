@@ -130,16 +130,6 @@ class HeunParams:
         return min(abs(self.a), 1.0)
 
 
-@dataclass(frozen=True)
-class SeriesState:
-    """Coefficients and diagnostics of one power-series evaluation (truncated
-    is per element for a batch in which some element was cut)."""
-
-    coefficients: tuple[complex, ...]
-    n_used: int
-    truncated: bool
-
-
 def recurrence_coeffs(params: HeunParams, n: int) -> tuple[complex, complex, complex]:
     """Three-term recurrence coefficients (R_n, P_n, Q_n).
 
@@ -181,7 +171,7 @@ def check_gamma_nondegenerate(params: HeunParams, second: bool = False) -> None:
 def heun_series(params: HeunParams, z: complex):
     """Evaluate (Hl(z), Hl'(z)) by the defining power series about z = 0.
 
-    Returns (value, derivative, SeriesState).  Converged when three
+    Returns (value, derivative).  Converged when three
     consecutive terms fall below TOL * |partial sum|; each element of a batch,
     of parameters or of z (a numpy array, broadcast against them), adds no
     terms after that, and the sum ends when every element has.
@@ -197,7 +187,6 @@ def heun_series(params: HeunParams, z: complex):
     check_gamma_nondegenerate(params)
     every, some, maximum = ops.all, ops.any, ops.maximum
 
-    coeffs = [1.0 + 0j]
     h_prev, h_cur = 0j, 1.0 + 0j
     value = 1.0 + 0j
     deriv = 0j
@@ -219,9 +208,7 @@ def heun_series(params: HeunParams, z: complex):
                 h_next = h_next - h_next * cut
                 truncated = truncated | cut
                 if every(truncated):
-                    coeffs.append(h_next)
-                    return value, deriv, SeriesState(tuple(coeffs), n + 1, truncated)
-        coeffs.append(h_next)
+                    return value, deriv
         h_add = h_next if live is True else h_next * live
         term = h_add * zn * z
         value += term
@@ -230,7 +217,7 @@ def heun_series(params: HeunParams, z: complex):
         streak = (streak + 1) * (abs(term) < TOL * maximum(abs(value), _TINY))
         if some(streak >= 3):
             if every(streak >= 3):
-                return value, deriv, SeriesState(tuple(coeffs), n + 1, truncated)
+                return value, deriv
             live = streak < 3
         h_prev, h_cur = h_cur, h_next
         R_prev, R_n, P_n = R_n, R_next, P_next
@@ -426,7 +413,7 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
 def _chain(params: HeunParams, start: complex, targets):
     """Yield (Hl, Hl') at each target: the series at start, then Taylor steps."""
     sings = params.singularities
-    value, deriv, _ = heun_series(params, start)
+    value, deriv = heun_series(params, start)
     zc = start
     for w_end in targets:
         guard = 0
@@ -448,9 +435,9 @@ def _chain(params: HeunParams, start: complex, targets):
 def heun_eval(params: HeunParams, z):
     """Evaluate (Hl(z), Hl'(z)) anywhere in the cut plane.
 
-    z is one point, or a numpy array of targets for one parameter set.  The
-    targets within r0 = DISK_MARGIN/2 times the series radius are one series
-    call.  The others are one Taylor chain: along default_path to the
+    z is one point, or a numpy array of targets (of any shape, which the
+    results take) for one parameter set.  The targets within r0 =
+    DISK_MARGIN/2 times the series radius are one series call.  The others are one Taylor chain: along default_path to the
     innermost of them, then straight from target to target in order of |z|.
     That polyline is validated once: no segment crosses the cut, and each
     keeps MIN_CLEARANCE from {0, 1, a}, or half the least distance of the
@@ -458,7 +445,7 @@ def heun_eval(params: HeunParams, z):
     covers z = 1 too only for a real a in (0, 1), so continuation needs such
     an a.
     """
-    zs = np.atleast_1d(z).astype(complex)
+    zs = np.ravel(z).astype(complex)
     if not np.isfinite(zs).all():
         raise DomainError(f"heun_eval: non-finite z = {_first_failure(np.isfinite(zs), zs)[0]}")
     if isinstance(z, np.ndarray) and params._ops is not _ONE:
@@ -476,10 +463,10 @@ def heun_eval(params: HeunParams, z):
             raise PathError(fault)
         reached = list(_chain(params, chain[0], chain[1:]))[-len(targets):]
     if not isinstance(z, np.ndarray):
-        return reached[0] if outer.size else heun_series(params, complex(z))[:2]
+        return reached[0] if outer.size else heun_series(params, complex(z))
     value, deriv = np.empty((2,) + zs.shape, complex)
     if inner.any():
-        value[inner], deriv[inner], _ = heun_series(params, zs[inner])
+        value[inner], deriv[inner] = heun_series(params, zs[inner])
     if outer.size:
         value[outer], deriv[outer] = np.array(reached).T
-    return value, deriv
+    return value.reshape(np.shape(z)), deriv.reshape(np.shape(z))

@@ -87,12 +87,12 @@ def match_coefficients(
     """Match u1 against the u2 basis at x0 and return the scattering data.
 
     Works for real k (scattering) and for the bound continuation k = i kappa;
-    t, r, delta are only physically meaningful for real k.  The antikink is
-    the charge-conjugate image of the kink matched at (-E, conj k, -x0).
+    t, r, delta are only physically meaningful for real k.  At one (E, k), x0
+    may be a numpy array of matching points: one eval_u batch per local
+    solution.  The antikink is the charge-conjugate image of the kink matched
+    at (-E, conj k, -x0).
     """
-    if bg.K < 0:
-        return _conjugate(_match_kink(bg.kink, SpectralPoint(E=-sp.E, k=sp.k.conjugate()), -x0))
-    return _match_kink(bg, sp, x0)
+    return _match(bg, sp, x0)
 
 
 def _conjugate(kink: ScatteringData) -> ScatteringData:
@@ -106,12 +106,14 @@ def _conjugate(kink: ScatteringData) -> ScatteringData:
                           kink.basis, kink)
 
 
-def _match_kink(bg: SolitonBackground, sp: SpectralPoint, x0: float) -> ScatteringData:
-    """match_coefficients for the kink, at one (E, k) or, with E and k arrays,
-    at a batch of them: at x0 = 0 one Heun batch for all three local solutions
-    (eval_u_at_origin).  W(u2_first, u2_second) is numerical, not the closed
-    form of spectrum.c1_bound_indicator: its rounding cancels against the
-    numerator's in c1 and c2, which keeps unitarity at large k/M."""
+def _match(bg: SolitonBackground, sp: SpectralPoint, x0: float) -> ScatteringData:
+    """match_coefficients at one (E, k) or, with E and k arrays, at a batch of
+    them (unwrap_sweep): at x0 = 0 one Heun batch for all three local solutions
+    of the kink (eval_u_at_origin).  W(u2_first, u2_second) is numerical, not
+    the closed form of spectrum.c1_bound_indicator: its rounding cancels
+    against the numerator's in c1 and c2, which keeps unitarity at large k/M."""
+    if bg.K < 0:
+        return _conjugate(_match(bg.kink, SpectralPoint(E=-sp.E, k=sp.k.conjugate()), -x0))
     basis = (
         build_solution(Family.U1_FIRST, bg, sp),
         build_solution(Family.U2_FIRST, bg, sp),
@@ -210,11 +212,7 @@ def unwrap_sweep(bg: SolitonBackground, ks, branch: str = "positive"):
     """
 
     def match(ks: list[float]) -> ScatteringData:
-        # One batch per family; the antikink's is mapped from the kink's.
-        sp = SpectralPoint.scattering(bg, np.array(ks), branch)
-        if bg.K > 0:
-            return _match_kink(bg, sp, 0.0)
-        return _conjugate(_match_kink(bg.kink, SpectralPoint(E=-sp.E, k=sp.k.conjugate()), 0.0))
+        return _match(bg, SpectralPoint.scattering(bg, np.array(ks), branch), 0.0)
 
     requested = sorted(set(float(k) for k in ks))
     grid = list(requested)

@@ -11,14 +11,12 @@ analytic about the incident side).  The lower component follows algebraically,
 
     v(x) = (i/M) ((1 + i e^{-2Kx}) / (1 - i e^{-2Kx}))^2 (E u - i u').
 
-All evaluations are written in the scaled variable s = 2Kx with explicit
-asymptotically stable forms, so nothing overflows at large |x|.
+The coordinate maps are numpy expressions over one x or a whole array of x,
+written in t = +-2Kx through e^{-|t|}, so nothing overflows at large |x|.
 """
 
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -159,73 +157,51 @@ def topological_charge(bg: SolitonBackground) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pointwise(f):
-    """f of a float x, or of each element of a numpy array of x."""
-
-    @functools.wraps(f)
-    def each(*args):
-        if isinstance(args[-1], np.ndarray):
-            return np.array([f(*args[:-1], v) for v in args[-1].tolist()], complex)
-        return f(*args)
-
-    return each
+def _rate(family: Family, bg: SolitonBackground) -> float:
+    """dt/dx of the variable t the maps below are written in: 2K for U2, -2K for U1."""
+    return -2.0 * bg.K if family.is_u1 else 2.0 * bg.K
 
 
-@_pointwise
-def map_to_z(family: Family, bg: SolitonBackground, x: float) -> complex:
-    """Heun argument of the given family at coordinate x.
+def _map(family: Family, bg: SolitonBackground, x):
+    """(t, j, e) for z = 1/(1 + j e^{-t}): U2's map at t = 2Kx, j = i, and U1's,
+    the same map at t = -2Kx with i -> -i; e = e^{-|t|} <= 1 serves both tails.
+    One point runs as an array of one, so it rounds as an element of a batch."""
+    t = _rate(family, bg) * np.atleast_1d(x)
+    return t, (-1j if family.is_u1 else 1j), np.exp(-abs(t))
 
-    U1: z = 1/(1 - i e^{2Kx}); U2: z = 1/(1 + i e^{-2Kx}).
-    Written so that neither tail overflows; the limits 0 and 1 are reached
-    exactly once the exponential underflows.
+
+def _like(x, v):
+    """v, computed on np.atleast_1d(x), as x came: a Python complex for one point."""
+    return v if isinstance(x, np.ndarray) else complex(v[0])
+
+
+def map_to_z(family: Family, bg: SolitonBackground, x):
+    """Heun argument of the given family at coordinate x (a float or an array).
+
+    U1: z = 1/(1 - i e^{2Kx}); U2: z = 1/(1 + i e^{-2Kx}).  1/(1 + j e) for
+    t >= 0 and e/(e + j) below, so neither tail overflows; the limits 0 and 1
+    are reached exactly once e underflows.
     """
-    s = 2.0 * bg.K * x
-    if family.is_u1:
-        if s <= 0:
-            return 1.0 / (1.0 - 1j * math.exp(s))
-        es = math.exp(-s)
-        return es / (es - 1j)
-    if s >= 0:
-        return 1.0 / (1.0 + 1j * math.exp(-s))
-    es = math.exp(s)
-    return es / (es + 1j)
+    t, j, e = _map(family, bg, x)
+    return _like(x, np.where(t >= 0, 1.0 / (1.0 + j * e), e / (e + j)))
 
 
-@_pointwise
-def log_z(family: Family, bg: SolitonBackground, x: float) -> complex:
+def log_z(family: Family, bg: SolitonBackground, x):
     """Principal log of map_to_z, computed without evaluating z in the tails."""
-    s = 2.0 * bg.K * x
-    if family.is_u1:
-        if s <= 0:
-            return -cmath.log(1.0 - 1j * math.exp(s))
-        return -s + 1j * (math.pi / 2) - cmath.log(1.0 + 1j * math.exp(-s))
-    if s >= 0:
-        return -cmath.log(1.0 + 1j * math.exp(-s))
-    return s - 1j * (math.pi / 2) - cmath.log(1.0 - 1j * math.exp(s))
+    t, j, e = _map(family, bg, x)
+    return _like(x, np.where(t >= 0, -np.log(1.0 + j * e), t - j * (math.pi / 2) - np.log(1.0 - j * e)))
 
 
-def dz_dx(family: Family, bg: SolitonBackground, z: complex) -> complex:
-    """dz/dx expressed through z itself: +/- 2K z (z - 1)."""
-    sign = 1.0 if family.is_u1 else -1.0
-    return sign * 2.0 * bg.K * z * (z - 1.0)
+def _dlogz_dx(family: Family, bg: SolitonBackground, z):
+    """d(log z)/dx through z itself: dt/dx (1 - z); dz/dx is z times it."""
+    return _rate(family, bg) * (1.0 - z)
 
 
-def _dlogz_dx(family: Family, bg: SolitonBackground, z: complex) -> complex:
-    sign = 1.0 if family.is_u1 else -1.0
-    return sign * 2.0 * bg.K * (z - 1.0)
-
-
-@_pointwise
-def ratio_squared(bg: SolitonBackground, x: float) -> complex:
-    """((1 + i e^{-2Kx}) / (1 - i e^{-2Kx}))^2, stable in both tails (unit modulus)."""
-    s = 2.0 * bg.K * x
-    if s >= 0:
-        es = math.exp(-s)
-        r = (1.0 + 1j * es) / (1.0 - 1j * es)
-    else:
-        es = math.exp(s)
-        r = (es + 1j) / (es - 1j)
-    return r * r
+def ratio_squared(bg: SolitonBackground, x):
+    """((1 + i e^{-2Kx}) / (1 - i e^{-2Kx}))^2 = 1/(2 z2 - 1)^2, since the two
+    factors are 1/z2 and 2 - 1/z2 for U2's z2; unit modulus, stable in both tails."""
+    w = 2.0 * np.atleast_1d(map_to_z(Family.U2_FIRST, bg, x)) - 1.0
+    return _like(x, 1.0 / (w * w))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +284,8 @@ def _u_from_heun(sol: LocalSolution, x: float, z: complex, h: complex, dh: compl
         log_pref = log_pref + sol.z_power * log_z(sol.family, bg, x)
     pref = sol.amp * _xp(log_pref).exp(log_pref)
     u = pref * h
-    dlog = 1j * sp.k + sol.z_power * _dlogz_dx(sol.family, bg, z)
-    du = dlog * u + pref * dh * dz_dx(sol.family, bg, z)
+    dlogz = _dlogz_dx(sol.family, bg, z)
+    du = (1j * sp.k + sol.z_power * dlogz) * u + pref * dh * (z * dlogz)
     return u, du
 
 

@@ -64,7 +64,7 @@ def test_criterion_1_heun_normalization_and_slope():
         gamma = complex(rng.uniform(0.5, 2.5), rng.uniform(-1, 1))
         delta = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         params = HeunParams(a=a, q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta)
-        value, deriv, _ = heun_series(params, 0.0)
+        value, deriv = heun_series(params, 0.0)
         slope = q / (a * gamma)
         if value != 1.0:
             ok = False
@@ -82,7 +82,7 @@ def test_criterion_2_triple_agreement():
     z = 0.5 + 0.5j
     v_chain, d_chain = heun_eval(params, z)       # series + chained re-expansion
     v_ode, d_ode = integrate_heun(params, [z])    # direct complex ODE integration
-    v_series, _, _ = heun_series(params, 0.2)     # series reference inside the disk
+    v_series, _ = heun_series(params, 0.2)        # series reference inside the disk
     v_chain_inner, _ = heun_eval(params, 0.2)
     err_outer = abs(v_chain - v_ode) / abs(v_ode)
     err_inner = abs(v_series - v_chain_inner) / abs(v_series)

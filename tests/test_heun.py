@@ -107,7 +107,7 @@ def test_series_normalization_and_slope_random_params():
             ga += 0.3
         p = HeunParams(a=a, q=complex(re[1], im[1]), alpha=complex(re[2], im[2]),
                        beta=complex(re[3], im[3]), gamma=ga, delta=complex(re[5], im[5]))
-        value, deriv, _ = heun_series(p, 0.0)
+        value, deriv = heun_series(p, 0.0)
         assert value == 1.0
         slope = p.q / (p.a * p.gamma)
         assert abs(deriv - slope) <= 1e-12 * abs(slope)
@@ -116,23 +116,26 @@ def test_series_normalization_and_slope_random_params():
 def test_series_trivial_constant_solution():
     # q = 0 and alpha*beta = 0 force h_n = 0 for n >= 1.
     p = HeunParams(a=0.7 + 0.2j, q=0, alpha=0, beta=2, gamma=1.3, delta=0.4)
-    value, deriv, state = heun_series(p, 0.3 + 0.2j)
+    value, deriv = heun_series(p, 0.3 + 0.2j)
     assert value == 1.0
     assert deriv == 0.0
-    assert state.truncated
 
 
-def test_series_recurrence_residual_of_stored_coefficients(sp25, bg5):
-    p = ur1_params()
-    _, _, state = heun_series(p, 0.35j)
-    h = state.coefficients
-    assert h[0] == 1.0
-    for n in range(1, len(h) - 1):
-        R, _, _ = recurrence_coeffs(p, n - 1)
-        _, P, _ = recurrence_coeffs(p, n)
-        _, _, Q = recurrence_coeffs(p, n + 1)
-        resid = abs(R * h[n - 1] + P * h[n] + Q * h[n + 1])
-        assert resid <= 1e-12 * max(abs(h[n - 1]), abs(h[n]), abs(h[n + 1]))
+def _recurrence_coefficients(p, n_terms):
+    """h_0 .. h_{n_terms - 1} of Hl from R_{n-1} h_{n-1} + P_n h_n + Q_{n+1} h_{n+1} = 0, h_0 = 1."""
+    h = [1.0 + 0j]
+    for n in range(n_terms - 1):
+        R = recurrence_coeffs(p, n - 1)[0] * h[n - 1] if n else 0j
+        h.append(-(R + recurrence_coeffs(p, n)[1] * h[n]) / recurrence_coeffs(p, n + 1)[2])
+    return h
+
+
+def test_series_sums_the_recurrence():
+    p, z = ur1_params(), 0.35j
+    h = _recurrence_coefficients(p, 200)
+    value, deriv = heun_series(p, z)
+    assert abs(value - sum(c * z**n for n, c in enumerate(h))) <= 1e-12 * abs(value)
+    assert abs(deriv - sum(n * c * z ** (n - 1) for n, c in enumerate(h) if n)) <= 1e-12 * abs(deriv)
 
 
 def test_series_outside_disk_rejected():
@@ -143,7 +146,7 @@ def test_series_outside_disk_rejected():
 
 def test_series_vs_ode_integration_ur1():
     p = ur1_params()
-    v, _, _ = heun_series(p, 0.2)
+    v, _ = heun_series(p, 0.2)
     v_ode, _ = integrate_heun(p, [0.2])
     assert abs(v - v_ode) <= 1e-8 * abs(v_ode)
 
@@ -164,7 +167,7 @@ def test_series_vs_ode_random_property(seed):
                    gamma=ga, delta=complex(*rng.uniform(-1.5, 1.5, 2)))
     r = 0.4 * min(abs(a), 1.0) * rng.uniform(0.2, 1.0)
     z = r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-    v, _, _ = heun_series(p, z)
+    v, _ = heun_series(p, z)
     v_ode, _ = integrate_heun(p, [z])
     assert abs(v - v_ode) <= 1e-8 * max(abs(v_ode), 1.0)
 
@@ -182,8 +185,7 @@ def test_polynomial_truncation_detected():
     q = np.roots([c2, c1, c0])[0]
     p = HeunParams(a=a, q=q, alpha=al, beta=be, gamma=ga, delta=de)
     z = 0.3 + 0.1j
-    value, deriv, state = heun_series(p, z)
-    assert state.truncated
+    value, deriv = heun_series(p, z)
     h1 = q / (a * ga)
     assert abs(value - (1 + h1 * z)) < 1e-14 * abs(value)
     assert abs(deriv - h1) < 1e-14 * abs(h1)
@@ -191,20 +193,21 @@ def test_polynomial_truncation_detected():
     # its neighbour sums its infinite series.
     qs = np.array([q + 0.5, q, q - 0.5j])
     batch = HeunParams(a=a, q=qs, alpha=al, beta=be, gamma=ga, delta=de)
-    values, derivs, state = heun_series(batch, z)
-    assert list(state.truncated) == [False, True, False]
+    values, derivs = heun_series(batch, z)
     assert abs(values[1] - (1 + h1 * z)) < 1e-14 * abs(values[1])
     assert abs(derivs[1] - h1) < 1e-14 * abs(h1)
     for i in (0, 2):
-        alone, d_alone, _ = heun_series(HeunParams(a=a, q=qs[i], alpha=al, beta=be, gamma=ga, delta=de), z)
+        alone, d_alone = heun_series(HeunParams(a=a, q=qs[i], alpha=al, beta=be, gamma=ga, delta=de), z)
         assert abs(values[i] - alone) <= 1e-14 * abs(alone)
         assert abs(derivs[i] - d_alone) <= 1e-14 * abs(d_alone)
 
 
 def test_generic_scattering_series_is_infinite():
-    _, _, state = heun_series(ur1_params(), 0.2)
-    assert not state.truncated
-    assert state.n_used > 10
+    # Its terms beyond degree 10 still count at z = 0.2: it is not cut to a polynomial.
+    p, z = ur1_params(), 0.2
+    degree_10 = sum(c * z**n for n, c in enumerate(_recurrence_coefficients(p, 11)))
+    value, _ = heun_series(p, z)
+    assert abs(value - degree_10) > 1e-12 * abs(value)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +271,11 @@ def test_series_z_batch_broadcasts_against_a_parameter_batch():
     sets = [(0.3 + 0.1j, -1, 0, 1.2, 0.8), (2j, 0.5, 1.5, 1 - 1j, 1 + 1j), (-1.5, -1, 0, 0.7, 0.3)]
     q, al, be, ga, de = (np.array(col) for col in zip(*sets))
     zs = np.array([[0.0], [0.1j], [0.2 - 0.1j], [-0.4]])
-    values, derivs, _ = heun_series(HeunParams(a=0.5, q=q, alpha=al, beta=be, gamma=ga, delta=de), zs)
+    values, derivs = heun_series(HeunParams(a=0.5, q=q, alpha=al, beta=be, gamma=ga, delta=de), zs)
     assert values.shape == derivs.shape == (4, 3)
     for i, z in enumerate(zs[:, 0].tolist()):
         _assert_each_equals_alone((values[i], derivs[i]),
-                                  [heun_series(HeunParams(0.5, *row), z)[:2] for row in sets])
+                                  [heun_series(HeunParams(0.5, *row), z) for row in sets])
 
 
 @pytest.mark.parametrize("kind", ["real", "imaginary"])
@@ -343,6 +346,17 @@ def test_z_batch_equals_pointwise_evaluation(monkeypatch):
     _assert_each_equals_alone((values, derivs), [heun_eval(p, z) for z in zs.tolist()])
 
 
+@pytest.mark.parametrize("zs", [[[0.5 + 0.5j, 0.6 + 0.5j]], [[0.1j, 0.6 + 0.5j], [0.2, 0.5 + 0.5j]]])
+def test_z_batch_of_any_shape_equals_its_flat_batch(zs):
+    # A 2-D target array, with continued targets alone or next to series
+    # ones, is its flat batch in the target array's shape.
+    p, zs = ur1_params(), np.array(zs)
+    values, derivs = heun_eval(p, zs)
+    flat_values, flat_derivs = heun_eval(p, zs.ravel())
+    assert values.shape == derivs.shape == zs.shape
+    assert np.array_equal(values.ravel(), flat_values) and np.array_equal(derivs.ravel(), flat_derivs)
+
+
 def test_target_batch_chain_is_validated_as_one_path():
     # |z| ties keep the given order, so the chain runs from 0.8 + 0.3i
     # straight down across the cut [1/2, inf).
@@ -365,7 +379,7 @@ def test_second_solution_is_definitional_composition():
     z = 0.1
     v, dv = heun_second_solution(p, z)
     shifted = second_solution_params(p)
-    hs, dhs, _ = heun_series(shifted, z)
+    hs, dhs = heun_series(shifted, z)
     w = z ** (1 - p.gamma)
     assert abs(v - w * hs) < 1e-13 * abs(v)
     assert abs(dv - w * (dhs + (1 - p.gamma) / z * hs)) < 1e-12 * abs(dv)
@@ -392,7 +406,7 @@ def test_second_solution_shifted_accessory_parameter():
 def test_first_and_second_solutions_independent():
     p = ur1_params()
     z = 0.1
-    v1, d1, _ = heun_series(p, z)
+    v1, d1 = heun_series(p, z)
     v2, d2 = heun_second_solution(p, z)
     wronskian = v1 * d2 - v2 * d1
     assert abs(wronskian) > 1e-3
@@ -470,7 +484,7 @@ def test_second_solution_singular_at_zero():
 def test_continuation_agrees_with_series_on_overlap():
     p = ur1_params()
     z = 0.3 + 0.2j  # inside the disk but past the series-dispatch radius
-    v_series, d_series, _ = heun_series(p, z)
+    v_series, d_series = heun_series(p, z)
     v_cont, d_cont = heun_eval(p, z)
     assert abs(v_cont - v_series) <= 1e-12 * abs(v_series)
     assert abs(d_cont - d_series) <= 1e-11 * abs(d_series)
@@ -576,7 +590,7 @@ def test_continuation_needs_real_a_between_0_and_1(a, z):
         heun_eval(p, np.array([0.1j, z]))
     # Series-only calls take any a.
     inner = 0.2 * p.radius * z / abs(z)
-    assert heun_eval(p, inner) == heun_series(p, inner)[:2]
+    assert heun_eval(p, inner) == heun_series(p, inner)
 
 
 def test_pipeline_evaluates_at_one_tolerance():

@@ -89,12 +89,21 @@ def test_matched_families_agree_on_extended_overlap(bg5, sp25):
         assert abs(data.c1 * u2 + data.c2 * u2b - u1) <= 1e-6 * abs(u1)
 
 
-def test_matching_point_invariance(bg5, sp25):
+def test_matching_point_invariance(bg5, bg5_anti, sp25):
     ref = match_coefficients(bg5, sp25, x0=0.0)
-    for x0 in (-0.2, -0.1, 0.1, 0.2):
-        data = match_coefficients(bg5, sp25, x0=x0 / bg5.K)
+    x0s = np.array([-0.2, -0.1, 0.1, 0.2]) / bg5.K
+    for x0 in x0s.tolist():
+        data = match_coefficients(bg5, sp25, x0=x0)
         assert abs(data.c1 - ref.c1) <= 1e-6 * abs(ref.c1)
         assert abs(data.c2 - ref.c2) <= 1e-6 * abs(ref.c2)
+    # An array of matching points at one (E, k) is one eval_u batch per local
+    # solution, for the kink and for its image.
+    for bg in (bg5, bg5_anti):
+        batch = match_coefficients(bg, sp25, x0=x0s)
+        for i, x0 in enumerate(x0s.tolist()):
+            one = match_coefficients(bg, sp25, x0=x0)
+            assert abs(batch.c1[i] - one.c1) <= 1e-10 * abs(one.c1)
+            assert abs(batch.c2[i] - one.c2) <= 1e-10 * abs(one.c2)
 
 
 def test_reference_point_coefficients(bg5, sp25):
@@ -248,8 +257,8 @@ def test_unwrap_sweep_refines_in_batched_passes(bg5, monkeypatch):
     ks = [0.025, 2.5, 250.0]
     _, plain, _ = unwrap_sweep(bg5, ks)
     batches = []
-    match = scattering._match_kink
-    monkeypatch.setattr(scattering, "_match_kink",
+    match = scattering._match
+    monkeypatch.setattr(scattering, "_match",
                         lambda bg, sp, x0: batches.append(sp.k.size) or match(bg, sp, x0))
     monkeypatch.setattr(scattering, "_wrap", lambda angle: 4.0 * angle)
     grid, refined, _ = unwrap_sweep(bg5, ks)
@@ -287,14 +296,14 @@ def test_batched_match_equals_per_family_evaluation(M, branch, monkeypatch):
     # at z2(0) (u1_first through its conjugate set).  Against one batch per
     # family it is the same bit for bit, up to k = 50 M.
     from kinkdirac import scattering
-    from kinkdirac.scattering import _match_kink, log_grid
+    from kinkdirac.scattering import _match, log_grid
 
     bg = SolitonBackground(M=M, K=M)
     ks = np.array(log_grid(1e-3 * M, 50.0 * M, 256))
     sp = SpectralPoint.scattering(bg, ks, branch)
-    joint = _match_kink(bg, sp, 0.0)
+    joint = _match(bg, sp, 0.0)
     monkeypatch.setattr(scattering, "eval_u_at_origin", lambda *sols: [eval_u(s, 0.0) for s in sols])
-    alone = _match_kink(bg, sp, 0.0)
+    alone = _match(bg, sp, 0.0)
     for name in ("c1", "c2", "t", "r", "delta"):
         assert np.array_equal(getattr(joint, name), getattr(alone, name)), name
     assert np.max(abs(abs(joint.t) ** 2 + abs(joint.r) ** 2 - 1.0)) <= 1e-8
@@ -305,11 +314,11 @@ def test_match_element_alone_equals_its_batch_value(branch):
     # An element that stops adding series or Taylor terms zeroes its own new
     # coefficients; the shared powers z^n and t^m stay Python numbers, so no
     # element's rounding depends on when its batch mates stop.
-    from kinkdirac.scattering import _match_kink, log_grid
+    from kinkdirac.scattering import _match, log_grid
 
     bg = SolitonBackground(M=1.0, K=1.0)
     sp = SpectralPoint.scattering(bg, np.array(log_grid(1e-3, 50.0, 256)), branch)
-    batch = _match_kink(bg, sp, 0.0)
+    batch = _match(bg, sp, 0.0)
     for i in range(sp.k.size):
-        one = _match_kink(bg, SpectralPoint(E=sp.E[i:i + 1], k=sp.k[i:i + 1]), 0.0)
+        one = _match(bg, SpectralPoint(E=sp.E[i:i + 1], k=sp.k[i:i + 1]), 0.0)
         assert one.c1[0] == batch.c1[i] and one.c2[0] == batch.c2[i], sp.k[i]

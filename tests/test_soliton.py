@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from kinkdirac import (
 )
 from kinkdirac.oracle import integrate_u
 from kinkdirac.scattering import match_coefficients, matched_u
+from kinkdirac.soliton import log_z, ratio_squared
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +83,59 @@ def test_map_values_at_origin(bg5):
     assert map_to_z(Family.U2_FIRST, bg5, 0.0) == pytest.approx((1 - 1j) / 2)
 
 
-def test_map_limits(bg5):
-    assert map_to_z(Family.U1_FIRST, bg5, 1e3) == 0
-    assert map_to_z(Family.U1_FIRST, bg5, -1e3) == 1
-    assert map_to_z(Family.U2_FIRST, bg5, -1e3) == 0
-    assert map_to_z(Family.U2_FIRST, bg5, 1e3) == 1
+def test_map_limits():
+    for K in (5.0, -5.0):
+        bg = SolitonBackground(M=5.0, K=K)
+        far = math.copysign(1e3, K)  # s = 2Kx = +1e4
+        assert map_to_z(Family.U1_FIRST, bg, far) == 0
+        assert map_to_z(Family.U1_FIRST, bg, -far) == 1
+        assert map_to_z(Family.U2_FIRST, bg, -far) == 0
+        assert map_to_z(Family.U2_FIRST, bg, far) == 1
+        assert ratio_squared(bg, far) == ratio_squared(bg, -far) == 1
+        # An x array across s = 0 out to |s| = 800, where e^{-|s|} underflows:
+        # each element is the one-point call bit for bit.
+        s = np.geomspace(1e-3, 800.0, 60)
+        xs = np.concatenate([-s[::-1], [0.0], s]) / (2.0 * K)
+        maps = [functools.partial(f, family, bg) for f in (map_to_z, log_z) for family in Family]
+        for f in maps + [functools.partial(ratio_squared, bg)]:
+            batch = f(xs)
+            one = [f(x) for x in xs.tolist()]
+            assert all(type(v) is complex for v in one)
+            assert batch.shape == xs.shape and batch.tolist() == one
 
 
 def test_map_half_planes(bg5):
     for x in np.linspace(-2, 2, 41):
         assert map_to_z(Family.U1_FIRST, bg5, x).imag >= 0
         assert map_to_z(Family.U2_FIRST, bg5, x).imag <= 0
+
+
+def _scalar_maps(s):
+    """z1, z2, log z1, log z2 and the squared ratio at s = 2Kx, one branch pair
+    per family on Python numbers: the reference for the array forms."""
+    if s <= 0:
+        z1, log1 = 1 / (1 - 1j * math.exp(s)), -cmath.log(1 - 1j * math.exp(s))
+        z2, log2 = math.exp(s) / (math.exp(s) + 1j), s - 1j * math.pi / 2 - cmath.log(1 - 1j * math.exp(s))
+        r = (math.exp(s) + 1j) / (math.exp(s) - 1j)
+    else:
+        z1, log1 = math.exp(-s) / (math.exp(-s) - 1j), -s + 1j * math.pi / 2 - cmath.log(1 + 1j * math.exp(-s))
+        z2, log2 = 1 / (1 + 1j * math.exp(-s)), -cmath.log(1 + 1j * math.exp(-s))
+        r = (1 + 1j * math.exp(-s)) / (1 - 1j * math.exp(-s))
+    return z1, z2, log1, log2, r * r
+
+
+def test_maps_equal_their_scalar_forms():
+    # numpy's exp and complex division may round differently from Python's,
+    # and ratio_squared is 1/(2 z2 - 1)^2 here: a few units in the last place.
+    s = np.geomspace(1e-3, 800.0, 60)
+    for K in (5.0, -5.0):
+        bg = SolitonBackground(M=5.0, K=K)
+        xs = np.concatenate([-s[::-1], [0.0], s]) / (2.0 * K)
+        arrays = (map_to_z(Family.U1_FIRST, bg, xs), map_to_z(Family.U2_FIRST, bg, xs),
+                  log_z(Family.U1_FIRST, bg, xs), log_z(Family.U2_FIRST, bg, xs), ratio_squared(bg, xs))
+        for x, *values in zip(xs.tolist(), *arrays):
+            for value, ref in zip(values, _scalar_maps(2.0 * K * x)):
+                assert abs(value - ref) <= 8 * np.finfo(float).eps * abs(ref), (x, value, ref)
 
 
 # ---------------------------------------------------------------------------
