@@ -61,12 +61,14 @@ def main() -> int:
 
     print("\n== Levinson sum rule (light fermion, M = 2.15e-5) ==")
     light = SolitonBackground(M=2.15e-5, K=2.15e-5, beta=1.0)
-    rep = levinson_check(light, find_bound_states(light), k_min=1e-3 * light.M,
-                         k_max=50 * light.M)
+    rep = levinson_check(light, find_bound_states(light), k_min=1e-3 * light.M)
     jump = rep.delta_at_zero - rep.delta_at_infinity
-    print(f"  delta(0+) - delta(k_max) = {jump / math.pi:.5f} pi "
-          f"(expected {rep.n_b - 0.5:.1f} pi, n_b = {rep.n_b})")
-    print(f"  discrepancy = {rep.discrepancy:.2e} rad")
+    print(f"  positive branch: delta(0+) - delta(inf) = {jump / math.pi:.5f} pi "
+          f"(expected {rep.n_b - 0.5:.1f} pi, n_+ = {rep.n_b})")
+    print(f"  negative branch: delta(0+) - delta(inf) = {rep.jump_negative / math.pi:.5f} pi "
+          f"(expected {0.5 - rep.n_b_negative:.1f} pi, n_- = {rep.n_b_negative})")
+    print(f"  n_+ - n_- from the phase jumps = {rep.n_plus - rep.n_minus}")
+    print(f"  discrepancy = {rep.discrepancy:.2e} and {rep.discrepancy_negative:.2e} rad")
 
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)

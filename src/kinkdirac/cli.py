@@ -30,7 +30,7 @@ from .heun import HeunParams, heun_eval, heun_second_solution, heun_series
 from .oracle import integrate_heun, oracle_scattering, residuals
 from .scattering import conjugate_spinor, log_grid, match_coefficients, matched_u, unwrap_sweep
 from .soliton import SolitonBackground, SpectralPoint, eval_u, kink_profile, v_from_u
-from .spectrum import find_bound_states, levinson_check
+from .spectrum import LEVINSON_K_TOP, find_bound_states, levinson_check
 
 
 @dataclass
@@ -190,11 +190,9 @@ def cmd_phase_sweep(cfg: RunConfig) -> int:
 def cmd_bound_states(cfg: RunConfig) -> int:
     bg = cfg.background
     states = find_bound_states(bg, tol_root=cfg.tol_root)
-    report = levinson_check(bg, states, cfg.k_min, cfg.k_max, samples=min(cfg.samples, 48))
-    records = [
-        {"index": b.index, "E": b.E_n, "kappa": b.kappa, "residual": b.residual}
-        for b in states
-    ]
+    report = levinson_check(bg, states, cfg.k_min, samples=min(cfg.samples, 48))
+    records = [{"index": b.index, "E": b.E_n, "kappa": b.kappa, "residual": b.residual}
+               for b in states]
     checks = [
         {
             "name": "levinson",
@@ -203,7 +201,12 @@ def cmd_bound_states(cfg: RunConfig) -> int:
             "n_b": report.n_b,
             "value": report.discrepancy,
             "tolerance": 0.05 * math.pi,
-            "passed": report.discrepancy <= 0.05 * math.pi,
+            "passed": max(report.discrepancy, report.discrepancy_negative) <= 0.05 * math.pi
+            and (report.n_plus, report.n_minus) == (report.n_b, report.n_b_negative),
+            "jump_negative": cfg.angle(report.jump_negative),
+            "n_plus": report.n_plus,
+            "n_minus": report.n_minus,
+            "asymmetry": report.n_plus - report.n_minus,
         }
     ]
     _emit(cfg, ["index", "E", "kappa", "residual"], records, checks)
@@ -300,7 +303,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--beta", type=float, default=1.0, help="coupling beta")
     sp.add_argument("--k", type=float, default=None, help="momentum (default 0.5*M)")
     sp.add_argument("--k-min", type=float, default=None, help="sweep lower momentum (default 1e-3*M)")
-    sp.add_argument("--k-max", type=float, default=None, help="sweep upper momentum (default 50*M)")
+    sp.add_argument("--k-max", type=float, default=None, help="phase-sweep upper momentum (default 50*M)")
     sp.add_argument("--samples", type=int, default=None, help="sample count (command-specific default)")
     sp.add_argument("--E-branch", choices=("positive", "negative"), default="positive", dest="E_branch")
     sp.add_argument("--tol-series", type=float, default=1e-12)
@@ -368,6 +371,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        if args.command == "bound-states" and not cfg.k_min < LEVINSON_K_TOP * cfg.M:
+            raise ValueError(f"bound-states needs k_min < {LEVINSON_K_TOP:g}*M")
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     try:

@@ -196,10 +196,10 @@ def log_grid(k_min: float, k_max: float, n: int) -> list[float]:
     return [k_min * ratio**i for i in range(n - 1)] + [k_max]
 
 
-def unwrap_sweep(bg: SolitonBackground, ks, branch: str = "positive"):
-    """Compute ScatteringData over a k-grid on one energy branch, with
-    continuously unwrapped delta.  The requested grid is matched as one batch,
-    and so are the midpoints of each refinement pass.
+def unwrap_sweep(bg: SolitonBackground, ks, branch: str | tuple[str, ...] = "positive"):
+    """Compute ScatteringData over a k-grid on one energy branch, or on each of a
+    tuple of them, with continuously unwrapped delta: every branch's requested
+    grid is one batch, and so are the midpoints of each refinement pass.
 
     The phase branch is anchored at the largest k (where delta is nearest 0, the
     Levinson reference) and propagated downward by nearest-branch selection.
@@ -208,31 +208,36 @@ def unwrap_sweep(bg: SolitonBackground, ks, branch: str = "positive"):
 
     Returns (requested_ks, unwrapped_deltas, data): requested_ks sorted and
     distinct, and data the one batched ScatteringData of the requested grid,
-    its arrays aligned with requested_ks.
+    its arrays aligned with requested_ks.  For a tuple of branches the deltas
+    are one list per branch, and data holds their rows branch after branch.
     """
+    branches = (branch,) if isinstance(branch, str) else tuple(branch)
 
-    def match(ks: list[float]) -> ScatteringData:
-        return _match(bg, SpectralPoint.scattering(bg, np.array(ks), branch), 0.0)
+    def match(points: list[tuple[int, float]]) -> ScatteringData:  # (branch index, k), sorted
+        index, k = np.array(points).T
+        E = np.concatenate([SpectralPoint.scattering(bg, k[index == i], b).E
+                            for i, b in enumerate(branches)])
+        return _match(bg, SpectralPoint(E=E, k=k), 0.0)
 
     requested = sorted(set(float(k) for k in ks))
-    grid = list(requested)
+    grid = [(i, k) for i in range(len(branches)) for k in requested]
     data = match(grid)
     raw = dict(zip(grid, data.delta.tolist()))
     budget = MAX_REFINE
     while budget > 0:
         # Each pass matches the midpoints of every gap whose phase still jumps.
-        mids = [math.sqrt(a * b) for a, b in zip(grid, grid[1:])
-                if abs(_wrap(raw[b] - raw[a])) >= math.pi / 2 and b - a > 1e-12 * b]
+        mids = [(i, math.sqrt(a * b)) for (i, a), (j, b) in zip(grid, grid[1:]) if i == j
+                and abs(_wrap(raw[j, b] - raw[i, a])) >= math.pi / 2 and b - a > 1e-12 * b]
         mids = [m for m in mids if m not in raw][:budget]
         if not mids:
             break
         raw.update(zip(mids, match(mids).delta.tolist()))
         grid = sorted(grid + mids)
         budget -= len(mids)
-    # Anchor at the largest k, propagate the branch downward.
-    unwrapped = {grid[-1]: raw[grid[-1]]}
-    for i in range(len(grid) - 2, -1, -1):
-        ref = unwrapped[grid[i + 1]]
-        n = round((ref - raw[grid[i]]) / (2.0 * math.pi))
-        unwrapped[grid[i]] = raw[grid[i]] + 2.0 * math.pi * n
-    return requested, [unwrapped[k] for k in requested], data
+    # Anchor each branch at its largest k, propagate the branch downward.
+    unwrapped = {}
+    for p, above in zip(grid[::-1], [None] + grid[:0:-1]):
+        ref = unwrapped[above] if above and above[0] == p[0] else raw[p]
+        unwrapped[p] = raw[p] + 2.0 * math.pi * round((ref - raw[p]) / (2.0 * math.pi))
+    deltas = [[unwrapped[i, k] for k in requested] for i in range(len(branches))]
+    return requested, deltas[0] if isinstance(branch, str) else deltas, data

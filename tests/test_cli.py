@@ -314,6 +314,40 @@ def test_bound_states_output(tmp_path):
         assert lev["passed"] is True
 
 
+def test_bound_states_with_four_samples_passes(tmp_path):
+    # Four momenta to 20 M plus {2, 4} k_min: both branches still count
+    # their levels and meet the 0.05 pi gate.
+    for sign, counts in (("kink", (1, 0)), ("antikink", (0, 1))):
+        _, payload = run_json(["bound-states", "--M", "5", "--K-sign", sign,
+                               "--samples", "4"], tmp_path)
+        lev = payload["checks"][0]
+        assert (lev["n_plus"], lev["n_minus"]) == counts and lev["passed"] is True
+
+
+def test_bound_states_levinson_line_reads_both_branches(tmp_path):
+    # The positive-branch keys keep their meaning; the negative branch's jump,
+    # the phase counts and their asymmetry are new keys, with the same values
+    # in CSV (no value holds a space) and JSON.
+    _, _, checks, _ = run_csv(["bound-states", "--M", "5", "--K-sign", "antikink"], tmp_path)
+    [line] = checks
+    cells = dict(cell.split("=") for cell in line.split()[2:])
+    _, payload = run_json(["bound-states", "--M", "5", "--K-sign", "antikink"], tmp_path)
+    lev = payload["checks"][0]
+    assert set(cells) == set(lev) == {
+        "name", "delta_at_zero", "delta_at_infinity", "n_b", "value", "tolerance", "passed",
+        "jump_negative", "n_plus", "n_minus", "asymmetry"}
+    assert all(cells[key] == _fmt(value) for key, value in lev.items())
+    assert (lev["n_b"], lev["n_plus"], lev["n_minus"], lev["asymmetry"]) == (0, 0, 1, -1)
+    assert abs(lev["jump_negative"] + 0.5 * math.pi) <= 1e-5
+    assert abs(lev["delta_at_zero"] - lev["delta_at_infinity"] + 0.5 * math.pi) <= 1e-5
+
+
+def test_bound_states_rejects_k_min_above_the_levinson_grid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound-states", "--M", "5", "--k-min", "100"])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -372,6 +406,17 @@ def test_heun_eval_at_origin(tmp_path):
     assert code == 0
     rec = payload["records"][0]
     assert rec["re_value"] == 1.0 and rec["im_value"] == 0.0
+
+
+def test_main_calls_are_independent(tmp_path):
+    # Each call's options are its own: nothing carries over from the last call.
+    _, antikink = run_json(["bound-states", "--M", "5", "--K-sign", "antikink", "--degrees"],
+                           tmp_path, "a.json")
+    _, kink = run_json(["bound-states", "--M", "5"], tmp_path, "k.json")
+    assert antikink["config"]["K_sign"] == "antikink" and antikink["config"]["degrees"] is True
+    assert kink["config"]["K_sign"] == "kink" and kink["config"]["degrees"] is False
+    assert kink["records"][1]["E"] == -antikink["records"][0]["E"] > 0
+    assert (kink["checks"][0]["n_plus"], antikink["checks"][0]["n_plus"]) == (1, 0)
 
 
 def test_usage_error_exits_2(capsys):

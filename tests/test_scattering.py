@@ -271,6 +271,38 @@ def test_unwrap_sweep_refines_in_batched_passes(bg5, monkeypatch):
 
 
 @pytest.mark.parametrize("K", [5.0, -5.0])
+def test_both_branch_sweep_equals_one_branch_sweeps(K, monkeypatch):
+    # With a tuple of branches, one batch holds every branch's rows, branch
+    # after branch, each row bit for bit the row of its one-branch sweep.  A
+    # refinement pass (forced by a four times stricter jump test) matches the
+    # midpoints of both branches as one batch, and each branch keeps the
+    # deltas of its one-branch sweep.
+    from kinkdirac import scattering
+    from kinkdirac.scattering import log_grid
+
+    bg = SolitonBackground(M=5.0, K=K)
+    ks = log_grid(5e-3, 100.0, 48) + [1e-2, 2e-2]
+    branches = ("positive", "negative")
+    grid, deltas, data = unwrap_sweep(bg, ks, branches)
+    n = len(grid)
+    for i, branch in enumerate(branches):
+        one_grid, one_deltas, one = unwrap_sweep(bg, ks, branch)
+        assert one_grid == grid and one_deltas == deltas[i]
+        for name in ("c1", "c2", "t", "r", "delta"):
+            assert np.array_equal(getattr(data, name)[i * n:(i + 1) * n], getattr(one, name)), name
+    batches = []
+    match = scattering._match
+    monkeypatch.setattr(scattering, "_match", lambda bg, sp, x0: batches.append(sp.E) or match(
+        bg, sp, x0))
+    monkeypatch.setattr(scattering, "_wrap", lambda angle: 4.0 * angle)
+    sparse = [0.1, 3.0, 100.0]
+    _, refined, _ = unwrap_sweep(bg.kink, sparse, branches)
+    passes = list(batches)
+    assert refined == [unwrap_sweep(bg.kink, sparse, b)[1] for b in branches]
+    assert len(passes) >= 2 and all(np.any(E > 0) and np.any(E < 0) for E in passes)
+
+
+@pytest.mark.parametrize("K", [5.0, -5.0])
 def test_sweep_builds_no_per_row_objects(K, monkeypatch):
     # A sweep is one batch from match to output: the number of Heun parameter
     # sets it builds does not grow with the number of momenta.

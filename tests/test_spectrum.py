@@ -100,7 +100,7 @@ def test_indicator_linear_near_zero_mode(bg5):
 
 
 def test_levinson_sum_rule(bg5):
-    report = levinson_check(bg5, find_bound_states(bg5), k_min=1e-3 * bg5.M, k_max=50 * bg5.M)
+    report = levinson_check(bg5, find_bound_states(bg5), k_min=1e-3 * bg5.M)
     assert report.n_b == 1  # strictly positive-energy states only
     jump = report.delta_at_zero - report.delta_at_infinity
     assert abs(jump - math.pi * (report.n_b - 0.5)) < 0.05 * math.pi
@@ -109,12 +109,52 @@ def test_levinson_sum_rule(bg5):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_levinson_extrapolates_delta_at_infinity(sign):
-    # delta(inf) from delta = delta_inf + b/k^2 + c/k^4 through the top of the
-    # grid: at the default k_max = 50 M the sum rule holds to 4e-6, where
-    # delta(k_max) alone is 6e-4 off.
+    # delta(inf) from delta = delta_inf + b2 u^2 + b3 u^3 + b4 u^4, u = M/k,
+    # through the four largest momenta: with the grid's top at 20 M the sum
+    # rule holds to 5.1e-6 on both branches, where delta(20 M) alone is 3.7e-3
+    # and 4.2e-3 off.
     bg = SolitonBackground(M=5.0, K=sign * 5.0)
-    report = levinson_check(bg, find_bound_states(bg), k_min=1e-3 * bg.M, k_max=50 * bg.M)
+    report = levinson_check(bg, find_bound_states(bg), k_min=1e-3 * bg.M)
     assert report.discrepancy <= 1e-5
+    assert report.discrepancy_negative <= 1e-5
+
+
+@pytest.mark.parametrize("M", [2.15e-5, 1.0, 5.0, 9.2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_levinson_counts_both_branches(M, sign):
+    # Each branch's phase jump counts the levels of its own sign; the zero
+    # mode, at E = 0, enters neither count.  The kink has n_+ = 1, n_- = 0,
+    # the antikink the reverse, and n_+ - n_- is the spectral asymmetry.
+    bg = SolitonBackground(M=M, K=sign * M)
+    bound = find_bound_states(bg)
+    report = levinson_check(bg, bound, k_min=1e-3 * M)
+    n_plus = sum(1 for b in bound if b.E_n > 1e-9 * M)
+    n_minus = sum(1 for b in bound if b.E_n < -1e-9 * M)
+    expected = (1, 0) if sign > 0 else (0, 1)
+    assert (report.n_plus, report.n_minus) == (n_plus, n_minus) == expected
+    assert (report.n_b, report.n_b_negative) == expected
+    assert report.n_plus - report.n_minus == sign  # the spectral asymmetry
+    assert max(report.discrepancy, report.discrepancy_negative) <= 1e-5
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_levinson_sweeps_both_branches_as_one_batch(sign, monkeypatch):
+    # The default grid, 48 momenta to LEVINSON_K_TOP M plus {2, 4} k_min, is
+    # matched on both branches as one batch, with no k above 20 M.
+    from kinkdirac import scattering
+
+    bg = SolitonBackground(M=5.0, K=sign * 5.0)
+    bound = find_bound_states(bg)
+    batches = []
+    match = scattering._match
+    monkeypatch.setattr(scattering, "_match",
+                        lambda bg, sp, x0: batches.append(sp) or match(bg, sp, x0))
+    levinson_check(bg, bound, k_min=1e-3 * bg.M)
+    assert len(batches) == (1 if sign > 0 else 2)  # the antikink's recurses to its kink image
+    for sp in batches:
+        assert sp.k.size == 2 * 50 and np.all(sp.k.imag == 0)
+        assert sp.k.real.max() == spectrum.LEVINSON_K_TOP * bg.M == 100.0
+        assert np.sum(sp.E > 0) == np.sum(sp.E < 0) == 50
 
 
 def test_batched_indicator_equals_per_family_evaluation(bg5, monkeypatch):
@@ -129,7 +169,7 @@ def test_batched_indicator_equals_per_family_evaluation(bg5, monkeypatch):
 
 def test_levinson_light_fermion():
     bg = SolitonBackground(M=2.15e-5, K=2.15e-5, beta=1.0)
-    report = levinson_check(bg, find_bound_states(bg), k_min=1e-3 * bg.M, k_max=50 * bg.M)
+    report = levinson_check(bg, find_bound_states(bg), k_min=1e-3 * bg.M)
     jump = report.delta_at_zero - report.delta_at_infinity
     assert abs(jump - math.pi / 2) < 0.05 * math.pi
 
