@@ -20,15 +20,11 @@ import math
 import sys
 from pathlib import Path
 
-from kinkdirac import (
-    SolitonBackground,
-    SpectralPoint,
-    find_bound_states,
-    levinson_check,
-    match_coefficients,
-    oracle_scattering,
-)
 from kinkdirac.cli import main as cli_main
+from kinkdirac.oracle import oracle_scattering
+from kinkdirac.scattering import match_coefficients
+from kinkdirac.soliton import SolitonBackground, SpectralPoint
+from kinkdirac.spectrum import find_bound_states, levinson_check
 
 
 def main() -> int:

@@ -53,8 +53,8 @@ class RunConfig:
     degrees: bool
 
     def __post_init__(self):
-        if not (0 < self.k_min < self.k_max):
-            raise ValueError("need 0 < k_min < k_max")
+        if not (self.k_min > 0 and self.k_max > 0):
+            raise ValueError("need k_min > 0 and k_max > 0")
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
         for name in ("tol_series", "tol_continuation", "tol_root"):
@@ -231,11 +231,10 @@ def cmd_validate(cfg: RunConfig) -> int:
     add("series_normalization", abs(v0 - 1.0), cfg.tol_series)
     slope = params.q / (params.a * params.gamma)
     add("series_slope", abs(d0 - slope) / abs(slope), cfg.tol_series)
-    # Series inside the disk and continuation beyond it vs direct complex ODE integration.
-    for name, evaluate, z_t in (("series_vs_ode", heun_series, 0.2),
-                                ("continuation_vs_ode", heun_eval, 0.5 + 0.5j)):
-        hv, _ = evaluate(params, z_t)
-        ho, _ = integrate_heun(params, [z_t])
+    # Series inside the disk and continuation beyond it vs one direct ODE run through both.
+    ode, _ = integrate_heun(params, [0.2, 0.5 + 0.5j])
+    for name, (hv, _), ho in (("series_vs_ode", heun_series(params, 0.2), ode[0]),
+                              ("continuation_vs_ode", heun_eval(params, 0.5 + 0.5j), ode[1])):
         add(name, abs(hv - ho) / abs(ho), cfg.tol_continuation)
     # Oracle agreement of the matching coefficients.
     c1o, c2o = oracle_scattering(bg, sp)
@@ -371,8 +370,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "bound-states" and not cfg.k_min < LEVINSON_K_TOP * cfg.M:
-            raise ValueError(f"bound-states needs k_min < {LEVINSON_K_TOP:g}*M")
+        # The top of the momentum range each command sweeps; the others read no k range.
+        top = {"phase-sweep": cfg.k_max, "bound-states": LEVINSON_K_TOP * cfg.M}.get(args.command)
+        if top is not None and not cfg.k_min < top:
+            raise ValueError(f"{args.command} needs k_min < {top:g}")
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     try:

@@ -23,6 +23,7 @@ heun_series and heun_eval also take a numpy array of z.  heun_eval reaches
 the targets beyond the series dispatch radius by one Taylor chain, along
 default_path to the innermost, then straight through the others in order of
 |z|, and validates that polyline once.
+Of the package it imports only kinkdirac.errors.
 """
 
 from __future__ import annotations
@@ -171,10 +172,11 @@ def check_gamma_nondegenerate(params: HeunParams, second: bool = False) -> None:
 def heun_series(params: HeunParams, z: complex):
     """Evaluate (Hl(z), Hl'(z)) by the defining power series about z = 0.
 
-    Returns (value, derivative).  Converged when three
-    consecutive terms fall below TOL * |partial sum|; each element of a batch,
-    of parameters or of z (a numpy array, broadcast against them), adds no
-    terms after that, and the sum ends when every element has.
+    Returns (value, derivative).  Converged when three consecutive terms fall
+    below TOL * |partial sum|; each element of a batch, of parameters or of z
+    (a numpy array, broadcast against them), adds no terms after that, and the
+    sum ends when every element has.  An exact Heun polynomial (R_n = 0 and
+    h_{n+1} = 0) needs no cut: its zero terms end the sum.
     """
     z, ops = (z.astype(complex), _NP) if isinstance(z, np.ndarray) else (complex(z), params._ops)
     if not ops.all(ops.isfinite(z)):
@@ -192,23 +194,12 @@ def heun_series(params: HeunParams, z: complex):
     deriv = 0j
     zn = 1.0 + 0j  # z**n
     streak, live = 0, True  # live is False for the elements that have stopped
-    truncated = False
     # R_{n-1}, R_n and P_n carried forward; each term needs one new call.
     R_prev = 0j
     R_n, P_n, _ = recurrence_coeffs(params, 0)
     for n in range(N_MAX_SERIES):
         R_next, P_next, Q_next = recurrence_coeffs(params, n + 1)
         h_next = -(R_prev * h_prev + P_n * h_cur) / Q_next
-        if not every(R_n):
-            # Polynomial case: h_{n+1} = 0 (to rounding) with alpha or beta = -n
-            # kills the whole tail of the recurrence; a cut element of a batch
-            # continues with exact zeros.
-            cut = (R_n == 0) & (abs(h_next) < 1e-12 * maximum(maximum(abs(h_cur), abs(h_prev)), 1e-300))
-            if some(cut):
-                h_next = h_next - h_next * cut
-                truncated = truncated | cut
-                if every(truncated):
-                    return value, deriv
         h_add = h_next if live is True else h_next * live
         term = h_add * zn * z
         value += term

@@ -154,7 +154,8 @@ def oracle_scattering(
 
 def integrate_heun(params: HeunParams, waypoints, rel_tol: float = 1e-12, abs_tol: float = 1e-14):
     """Integrate the Heun ODE for (Hl, Hl') along straight segments through
-    waypoints, starting from series-free initial data near z = 0.
+    waypoints, starting from series-free initial data near z = 0, and return
+    (Hl, Hl') at every waypoint as two arrays (two numbers for one waypoint).
 
     The start value uses the first four exact series coefficients at a point
     of modulus ~1e-3, so the truncation error (~|h4| 1e-12) is negligible at
@@ -191,20 +192,17 @@ def integrate_heun(params: HeunParams, waypoints, rel_tol: float = 1e-12, abs_to
 
         return rhs
 
-    y = [H0, dH0]
-    z_cur = z0
-    for target in pts:
-        if target == z_cur:
-            continue
-        sol = solve_ivp(
-            rhs_factory(z_cur, target), (0.0, 1.0), y,
-            method="DOP853", rtol=rel_tol, atol=abs_tol,
-        )
-        if not sol.success:
-            raise StepFailure(f"Heun ODE oracle failed on segment to {target}: {sol.message}")
-        y = [sol.y[0][-1], sol.y[1][-1]]
-        z_cur = target
-    return y[0], y[1]
+    y, reached = [H0, dH0], []
+    for z_a, z_b in zip([z0] + pts, pts):
+        if z_a != z_b:
+            sol = solve_ivp(rhs_factory(z_a, z_b), (0.0, 1.0), y,
+                            method="DOP853", rtol=rel_tol, atol=abs_tol)
+            if not sol.success:
+                raise StepFailure(f"Heun ODE oracle failed on segment to {z_b}: {sol.message}")
+            y = [sol.y[0][-1], sol.y[1][-1]]
+        reached.append(y)
+    H, dH = np.array(reached).T
+    return (H, dH) if len(H) > 1 else (H[0], dH[0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from kinkdirac import SolitonBackground, SpectralPoint
+from kinkdirac.soliton import SolitonBackground, SpectralPoint
 
 
 @pytest.fixture(scope="session")

@@ -15,22 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from kinkdirac import (
-    HeunParams,
-    SolitonBackground,
-    SpectralPoint,
-    find_bound_states,
-    heun_eval,
-    heun_series,
-    integrate_heun,
-    levinson_check,
-    match_coefficients,
-    matched_u,
-    oracle_scattering,
-    residuals,
-    v_from_u,
-)
 from kinkdirac.cli import main as cli_main
+from kinkdirac.heun import HeunParams, heun_eval, heun_series
+from kinkdirac.oracle import integrate_heun, oracle_scattering, residuals
+from kinkdirac.scattering import match_coefficients, matched_u
+from kinkdirac.soliton import SolitonBackground, SpectralPoint, v_from_u
+from kinkdirac.spectrum import find_bound_states, levinson_check
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -123,7 +113,7 @@ def test_criterion_4_matching_smoothness_and_invariance(bg5, sp25):
                abs(vL - vR) / abs(vR))
     # Agreement on the overlap strip.
     overlap = 0.0
-    from kinkdirac import eval_u
+    from kinkdirac.soliton import eval_u
     sol1, sol2, sol2b = data.basis
     for x in np.linspace(-0.1, 0.1, 11):
         u1, _ = eval_u(sol1, x)

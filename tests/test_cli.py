@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import kinkdirac
-from kinkdirac import SolitonBackground, SpectralPoint, eval_u, match_coefficients, unwrap_sweep
 from kinkdirac.cli import _csv_line, _fmt, main
-from kinkdirac.oracle import residuals
+from kinkdirac.oracle import integrate_heun, residuals
+from kinkdirac.scattering import match_coefficients, unwrap_sweep
+from kinkdirac.soliton import SolitonBackground, SpectralPoint, eval_u
 
 
 def run_csv(argv, tmp_path, name="out.csv"):
@@ -35,20 +36,28 @@ def run_json(argv, tmp_path, name="out.json"):
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
     # Only the oracle imports scipy, where it integrates; importing the CLI
-    # and running bound-states and phase-sweep never load it.
-    code = (
-        "import sys; from kinkdirac.cli import main\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(loaded())\n"
+    # and running bound-states and phase-sweep never load it.  The package
+    # itself re-exports nothing, so importing heun loads only what heun uses.
+    env = dict(os.environ, PYTHONPATH=str(Path(kinkdirac.__file__).parents[1]))
+
+    def fresh(code):
+        loaded = "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
+        return subprocess.run([sys.executable, "-c", "import sys\n" + loaded + code], env=env,
+                              capture_output=True, text=True, check=True).stdout.split("\n")
+
+    out = fresh(
+        "from kinkdirac.cli import main\n"
+        "print(loaded('kinkdirac')); print(loaded('scipy'))\n"
         f"main(['bound-states', '--out', {str(tmp_path / 'b.csv')!r}])\n"
         f"main(['phase-sweep', '--samples', '16', '--out', {str(tmp_path / 'p.csv')!r}])\n"
-        "print(loaded())\n"
+        "print(loaded('scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(kinkdirac.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.split() == ["[]", "[]"]
+    modules = ["cli", "errors", "heun", "oracle", "scattering", "soliton", "spectrum"]
+    assert out[0] == str(["kinkdirac"] + [f"kinkdirac.{m}" for m in modules])
+    assert out[1:] == ["[]", "[]", ""]
     assert (tmp_path / "b.csv").read_text().count("\n") > 2
+    out = fresh("import kinkdirac.heun\nprint(loaded('kinkdirac'))\n")
+    assert out[0] == str(["kinkdirac", "kinkdirac.errors", "kinkdirac.heun"])
 
 
 def test_csv_line_writes_each_cell_as_fmt_does():
@@ -348,6 +357,20 @@ def test_bound_states_rejects_k_min_above_the_levinson_grid(capsys):
     assert exc.value.code == 2
 
 
+def test_k_range_is_checked_only_where_the_command_reads_it(capsys):
+    # Only phase-sweep reads k_max; bound-states reads k_min, below 20 M.
+    for argv in (["bound-states", "--M", "5"], ["scatter", "--samples", "21"], ["validate"]):
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--k-max", "0.001"]) == 0
+        assert capsys.readouterr().out == plain
+    for argv in (["phase-sweep", "--k-min", "2", "--k-max", "1"],
+                 ["bound-states", "--M", "5", "--k-min", "200"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -362,6 +385,23 @@ def test_validate_passes(tmp_path):
             assert code == 0
             assert payload["checks"]
             assert all(c["passed"] for c in payload["checks"])
+
+
+def test_validate_integrates_the_heun_ode_once(tmp_path, monkeypatch):
+    # One DOP853 run through z = 0.2 and (1+i)/2 serves both ODE comparisons.
+    from kinkdirac import cli
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return integrate_heun(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_heun", counted)
+    code, payload = run_json(["validate", "--M", "5"], tmp_path)
+    assert code == 0 and calls == [[0.2, 0.5 + 0.5j]]
+    names = [c["name"] for c in payload["checks"]]
+    assert "series_vs_ode" in names and "continuation_vs_ode" in names
 
 
 def test_validate_unitarity_sweeps_the_requested_branch(tmp_path):

@@ -11,25 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinkdirac import (
-    ConvergenceError,
-    DegenerateGammaError,
-    DomainError,
-    Family,
+from kinkdirac import heun
+from kinkdirac.errors import ConvergenceError, DegenerateGammaError, DomainError, PathError
+from kinkdirac.heun import (
     HeunParams,
-    PathError,
-    SolitonBackground,
-    SpectralPoint,
-    build_solution,
-    eval_u,
+    default_path,
+    heun_eval,
     heun_second_solution,
     heun_series,
-    integrate_heun,
     recurrence_coeffs,
     second_solution_params,
 )
-from kinkdirac import heun
-from kinkdirac.heun import default_path, heun_eval
+from kinkdirac.oracle import integrate_heun
+from kinkdirac.soliton import Family, SolitonBackground, SpectralPoint, build_solution, eval_u
 
 
 def ur1_params(M=5.0, K=5.0, k=2.5) -> HeunParams:
@@ -200,6 +194,17 @@ def test_polynomial_truncation_detected():
         alone, d_alone = heun_series(HeunParams(a=a, q=qs[i], alpha=al, beta=be, gamma=ga, delta=de), z)
         assert abs(values[i] - alone) <= 1e-14 * abs(alone)
         assert abs(derivs[i] - d_alone) <= 1e-14 * abs(d_alone)
+
+
+def test_exact_heun_polynomial_stays_exact():
+    # At E = 0 on the bound continuation the U1 set has q = -1, gamma = 2,
+    # delta = 0: R_0 = R_1 = P_1 = 0, so Hl = 1 - z with every further
+    # coefficient an exact zero, and the sum needs no cut to stay exact.
+    for M in (1.0, 5.0):
+        bg = SolitonBackground(M=M, K=M)
+        p = build_solution(Family.U1_FIRST, bg, SpectralPoint.bound(bg, 0.0)).params
+        for z in (0.1, 0.3 + 0.2j, -0.2 - 0.35j, 0.4j):
+            assert heun_series(p, z) == (1 - z, -1)
 
 
 def test_generic_scattering_series_is_infinite():
@@ -495,7 +500,7 @@ def test_continuation_matches_ode_at_matching_point():
     p = ur1_params()
     z = 0.5 + 0.5j
     v, _ = heun_eval(p, z)
-    v_ode, _ = integrate_heun(p, default_path(p, z))
+    v_ode = integrate_heun(p, default_path(p, z))[0][-1]
     assert abs(v - v_ode) <= 1e-8 * abs(v_ode)
 
 
@@ -503,7 +508,7 @@ def test_continuation_matches_ode_uright12():
     p = uright12_params()
     z = 0.5 - 0.5j
     v, _ = heun_eval(p, z)
-    v_ode, _ = integrate_heun(p, default_path(p, z))
+    v_ode = integrate_heun(p, default_path(p, z))[0][-1]
     assert abs(v - v_ode) <= 1e-8 * abs(v_ode)
 
 
@@ -512,7 +517,7 @@ def test_second_solution_continues_beyond_disk(z):
     p = ur1_params()
     v, _ = heun_second_solution(p, z)
     shifted = second_solution_params(p)
-    h_ode, _ = integrate_heun(shifted, default_path(shifted, z))
+    h_ode = integrate_heun(shifted, default_path(shifted, z))[0][-1]
     v_ode = cmath.exp((1 - p.gamma) * cmath.log(z)) * h_ode
     assert abs(v - v_ode) <= 1e-8 * abs(v_ode)
 
@@ -553,7 +558,7 @@ def test_default_path_detours_near_singular_targets():
     path = default_path(p, z)
     assert len(path) == 3
     v, _ = heun_eval(p, z)
-    v_ode, _ = integrate_heun(p, path)
+    v_ode = integrate_heun(p, path)[0][-1]
     assert abs(v - v_ode) <= 1e-7 * abs(v_ode)
 
 

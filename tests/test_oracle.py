@@ -5,21 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from kinkdirac import (
-    Family,
-    FitError,
-    SpectralPoint,
-    build_solution,
-    eval_u,
+from kinkdirac.errors import FitError
+from kinkdirac.oracle import (
+    TAIL_WINDOW,
+    _fit_tail,
     extract_scattering,
     integrate_u,
-    match_coefficients,
-    matched_u,
     oracle_scattering,
     residuals,
-    v_from_u,
 )
-from kinkdirac.oracle import TAIL_WINDOW, _fit_tail
+from kinkdirac.scattering import match_coefficients, matched_u
+from kinkdirac.soliton import Family, SpectralPoint, build_solution, eval_u, v_from_u
 
 
 # ---------------------------------------------------------------------------

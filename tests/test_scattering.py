@@ -6,19 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from kinkdirac import (
-    DegenerateBasisError,
+from kinkdirac.errors import DegenerateBasisError, KinkDiracError
+from kinkdirac.scattering import match_coefficients, matched_u, unwrap_sweep, wronskian
+from kinkdirac.soliton import (
     Family,
-    KinkDiracError,
     SolitonBackground,
     SpectralPoint,
     build_solution,
     eval_u,
-    match_coefficients,
-    matched_u,
-    unwrap_sweep,
     v_from_u,
-    wronskian,
 )
 
 

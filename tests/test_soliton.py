@@ -8,23 +8,22 @@ import math
 import numpy as np
 import pytest
 
-from kinkdirac import (
-    DegenerateGammaError,
-    DomainError,
+from kinkdirac.errors import DegenerateGammaError, DomainError
+from kinkdirac.oracle import integrate_u
+from kinkdirac.scattering import match_coefficients, matched_u, wronskian
+from kinkdirac.soliton import (
     Family,
     SolitonBackground,
     SpectralPoint,
     build_solution,
     eval_u,
     kink_profile,
+    log_z,
     map_to_z,
+    ratio_squared,
     topological_charge,
     v_from_u,
-    wronskian,
 )
-from kinkdirac.oracle import integrate_u
-from kinkdirac.scattering import match_coefficients, matched_u
-from kinkdirac.soliton import log_z, ratio_squared
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from kinkdirac import (
-    DomainError,
-    Family,
-    KinkDiracError,
-    SolitonBackground,
-    SpectralPoint,
-    build_solution,
-    c1_bound_indicator,
-    eval_u,
-    find_bound_states,
-    levinson_check,
-    match_coefficients,
-)
 from kinkdirac import spectrum
+from kinkdirac.errors import DomainError, KinkDiracError
+from kinkdirac.scattering import match_coefficients
+from kinkdirac.soliton import Family, SolitonBackground, SpectralPoint, build_solution, eval_u
+from kinkdirac.spectrum import c1_bound_indicator, find_bound_states, levinson_check
 
 # Discrete spectrum of the reference kink, confirmed independently by a
 # shooting search on the directly integrated equation (see test_oracle.py).
