@@ -53,6 +53,9 @@ class RunConfig:
     degrees: bool
 
     def __post_init__(self):
+        for name in ("M", "k", "k_min", "k_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {getattr(self, name)}")
         if not (self.k_min > 0 and self.k_max > 0):
             raise ValueError("need k_min > 0 and k_max > 0")
         if self.samples < 2:

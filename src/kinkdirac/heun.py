@@ -16,9 +16,10 @@ a to +infinity.
 Each function takes one parameter set or a batch: any of q, alpha, beta,
 gamma, delta a 1-D numpy array.  A batch shares a and z, so the path and its
 steps, and runs each loop once over all elements; an element stops adding
-terms where it would stop alone: its new coefficients are zeroed, and the
-shared powers of z stay one number, so its value does not depend on its batch
-mates.  One set stays on Python complex arithmetic.
+terms where it would stop alone: its new coefficients are zeroed, a Taylor
+step drops the stopped elements from its arrays once at most half are live,
+and the shared powers of z stay one number, so its value does not depend on
+its batch mates.  One set stays on Python complex arithmetic.
 heun_series and heun_eval also take a numpy array of z.  heun_eval reaches
 the targets beyond the series dispatch radius by one Taylor chain, along
 default_path to the innermost, then straight through the others in order of
@@ -347,7 +348,8 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
 
     Coefficients follow from the ODE in polynomial form A u'' + B u' + C u = 0
     with A = z(z-1)(z-a), B = gamma(z-1)(z-a) + delta z(z-a) + epsilon z(z-1),
-    C = alpha beta z - q, re-expanded about z0.
+    C = alpha beta z - q, re-expanded about z0.  A batch carries on only its
+    live elements once at most half are, and returns every element's value.
     """
     a = params.a
     ga, de, eps = params.gamma, params.delta, params.epsilon
@@ -375,6 +377,7 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
     dv = c[1]
     tn = t  # t**(m+1) entering iteration m
     streak, live = 0, True  # live is False for the elements that have stopped
+    index = whole = None  # once compacted: the batch positions still carried, (val, dv) of all
     for m in range(N_MAX_TAYLOR):
         s = 0j
         for j in range(1, min(3, m) + 1):
@@ -393,11 +396,26 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
         streak = (streak + 1) * (abs(term) < TOL * maximum(abs(val), _TINY))
         if some(streak >= 3):
             if every(streak >= 3):
-                return val, dv
+                if index is None:
+                    return val, dv
+                whole[:, index] = val, dv
+                return whole[0], whole[1]
             live = streak < 3
+            # Every 8 terms, drop the stopped elements once at most half are
+            # live (counting each term costs more than it saves); their (val, dv) is final.
+            if m % 8 == 0 and 2 * np.count_nonzero(live) <= live.size:
+                if index is None:
+                    index, whole = np.arange(live.size), np.empty((2, live.size), complex)
+                whole[:, index] = val, dv
+                keep = np.flatnonzero(live)
+                index, streak, live, val, dv = (v[keep] for v in (index, streak, live, val, dv))
+                c[-3:] = [v[keep] for v in c[-3:]]  # the recurrence reads no older ones
+                B, C = ([v[keep] if np.ndim(v) else v for v in coeffs] for coeffs in (B, C))
+    # The elements compacted away had stopped.
+    stopped = streak >= 3 if index is None else ~np.isin(np.arange(whole.shape[1]), index[streak < 3])
     raise ConvergenceError(
         f"taylor_step: no convergence from {z0} to {z1} within {N_MAX_TAYLOR} terms "
-        f"for {_element(params, streak >= 3)}"
+        f"for {_element(params, stopped)}"
     )
 
 

@@ -264,14 +264,18 @@ def eval_u_at_origin(*sols: LocalSolution):
     """eval_u(sol, 0.0) for several local solutions of one spectral batch, from one
     heun_eval batch at z2(0) = 1/(1 + i) = conj z1(0).  Hl(conj p, conj z) =
     conj Hl(p, z) (the recurrence is real, the cut [a, inf) lies on the real axis),
-    so a U1 set joins the batch conjugated and its (Hl, Hl') is conjugated back."""
+    so a U1 set joins the batch conjugated and its (Hl, Hl') is conjugated back.
+    Each distinct set joins once (exact array equality): for real k the
+    conjugated U1 set is U2_FIRST's, and both read one (Hl, Hl')."""
     bg, n = sols[0].background, sols[0].spectral.k.size
     bg.check_kink("eval_u_at_origin")
     flips = [np.conjugate if sol.family.is_u1 else np.asarray for sol in sols]
-    stacked = HeunParams(HALF, *(np.concatenate([f(np.broadcast_to(getattr(sol.params, name), n))
-                                                 for f, sol in zip(flips, sols)])
-                                 for name in ("q", "alpha", "beta", "gamma", "delta")))
-    h, dh = (v.reshape(-1, n) for v in heun_eval(stacked, map_to_z(Family.U2_FIRST, bg, 0.0)))
+    sets = [[f(np.broadcast_to(getattr(sol.params, name), n))
+             for name in ("q", "alpha", "beta", "gamma", "delta")] for f, sol in zip(flips, sols)]
+    first = [next(i for i, t in enumerate(sets) if all(map(np.array_equal, s, t))) for s in sets]
+    rows, pick = np.unique(first, return_inverse=True)  # the distinct sets; each solution's row
+    stacked = HeunParams(HALF, *map(np.concatenate, zip(*(sets[i] for i in rows))))
+    h, dh = (v.reshape(-1, n)[pick] for v in heun_eval(stacked, map_to_z(Family.U2_FIRST, bg, 0.0)))
     return [_u_from_heun(sol, 0.0, map_to_z(sol.family, bg, 0.0), f(h_i), f(dh_i))
             for f, sol, h_i, dh_i in zip(flips, sols, h, dh)]
 

@@ -229,8 +229,9 @@ def test_phase_sweep_negative_branch(tmp_path):
 
 def test_phase_sweep_evaluates_each_family_once(tmp_path, monkeypatch):
     # The 256 momenta of the three families are one Heun batch: 1 heun_eval
-    # call of 768 sets and 4 Taylor steps (one call per family and momentum
-    # before batching: 768 and 3072; one batch per family: 3 and 12).
+    # call and 4 Taylor steps (one call per family and momentum before
+    # batching: 768 and 3072; one batch per family: 3 and 12).  For real k
+    # u1_first's conjugate set is u2_first's, so the batch holds 2 * 256 sets.
     from kinkdirac import heun, soliton
 
     evals, steps = [], []
@@ -248,7 +249,7 @@ def test_phase_sweep_evaluates_each_family_once(tmp_path, monkeypatch):
     monkeypatch.setattr(heun, "taylor_step", counting_step)
     code, rows, _, _ = run_csv(["phase-sweep", "--samples", "256"], tmp_path)
     assert code == 0 and len(rows) == 256
-    assert evals == [(3 * 256,)]
+    assert evals == [(2 * 256,)]
     assert len(steps) == 4
 
 
@@ -480,6 +481,19 @@ def test_nan_parameter_exits_2(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--M", "5", flag, "nan"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("phase-sweep", "--k-max", "inf"), ("phase-sweep", "--k-min", "inf"),
+    ("scatter", "--k", "inf"), ("scatter", "--k", "-inf"), ("scatter", "--M", "inf"),
+    ("bound-states", "--M", "nan"),
+])
+def test_non_finite_parameter_is_a_usage_error(command, flag, value, capsys):
+    # Not a numerical failure (exit 3) of the dispersion check downstream.
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"{flag} must be finite, got {float(value)}" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -452,6 +452,45 @@ def test_batch_convergence_error_names_the_slow_element(monkeypatch):
                 eval_u(sol, 0.0)
 
 
+@pytest.mark.parametrize("M", [1.0, 5.0])
+def test_compacted_batch_equals_each_element_alone(M, monkeypatch):
+    # A Taylor step drops its stopped elements once at most half are live;
+    # each element still gives the bits it gives as a batch of one.  The
+    # batch is the one a sweep of the default 64 momenta, k/M in [1e-3, 50],
+    # on both energy branches evaluates.
+    from kinkdirac import soliton
+    from kinkdirac.scattering import log_grid, unwrap_sweep
+
+    calls = []
+    monkeypatch.setattr(soliton, "heun_eval", lambda params, z: calls.append((params, z)) or
+                        heun_eval(params, z))
+    unwrap_sweep(SolitonBackground(M=M, K=M), log_grid(1e-3 * M, 50.0 * M, 64),
+                 ("positive", "negative"))
+    [(params, z)] = calls
+    assert params.q.shape == (2 * 2 * 64,)
+    masks, flatnonzero = [], np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: masks.append(a.size) or flatnonzero(a))
+    value, deriv = heun_eval(params, z)
+    monkeypatch.undo()
+    assert max(masks) == params.q.size  # the first compaction keeps live elements of all
+    for i in range(params.q.size):
+        one = HeunParams(params.a, *(np.broadcast_to(getattr(params, name), params.q.shape)[i:i + 1]
+                                     for name in ("q", "alpha", "beta", "gamma", "delta")))
+        (v,), (d,) = heun_eval(one, z)
+        assert (value[i], deriv[i]) == (v, d), i
+
+
+def test_convergence_error_after_compaction_names_the_element(monkeypatch):
+    # 16 easy sets stop early and are compacted away; the hard one, last in
+    # the batch, is named with its own parameters.
+    monkeypatch.setattr(heun, "N_MAX_TAYLOR", 60)
+    q = np.append(np.linspace(0.1, 0.4, 16), 100j)
+    gamma = np.append(np.full(16, 1.2), 1.3)
+    batch = HeunParams(a=0.5, q=q, alpha=-1, beta=0, gamma=gamma, delta=0.8)
+    with pytest.raises(ConvergenceError, match=r"^taylor_step: .*q=100j, .*gamma=\(1\.3\+0j\)"):
+        heun_eval(batch, 0.5 + 0.5j)
+
+
 def test_second_solution_continuous_through_gamma_zero():
     # Only gamma = 1 degenerates the second solution; at gamma = 0 it is
     # z Hl[gamma = 2], the limit of its neighbours.

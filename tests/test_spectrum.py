@@ -237,6 +237,19 @@ def test_scan_is_one_batch_per_family(bg5, monkeypatch):
     assert shapes == [(2 * spectrum.CHEB_NODES,)] + [()] * 4
 
 
+def test_indicator_batch_evaluates_both_families(bg5, monkeypatch):
+    # On the bound continuation u1_first's conjugate set is not u2_second's,
+    # so 32 energies are one heun_eval of 64 sets.
+    from kinkdirac import heun, soliton
+
+    shapes = []
+    heun_eval = heun.heun_eval
+    monkeypatch.setattr(soliton, "heun_eval",
+                        lambda params, z: shapes.append(params.q.shape) or heun_eval(params, z))
+    c1_bound_indicator(bg5, np.linspace(-0.9 * bg5.M, 0.9 * bg5.M, 32))
+    assert shapes == [(64,)]
+
+
 def test_indicator_element_alone_equals_its_batch_value(bg5):
     # No element's value depends on the elements that share its batch.
     Es = np.linspace(-0.999 * bg5.M, 0.999 * bg5.M, 64)
