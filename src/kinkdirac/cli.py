@@ -53,9 +53,11 @@ class RunConfig:
     degrees: bool
 
     def __post_init__(self):
-        for name in ("M", "k", "k_min", "k_max"):
+        for name in ("M", "beta", "k", "k_min", "k_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {getattr(self, name)}")
+        if not self.M > 0:
+            raise ValueError(f"--M must be positive, got {self.M}")
         if not (self.k_min > 0 and self.k_max > 0):
             raise ValueError("need k_min > 0 and k_max > 0")
         if self.samples < 2:

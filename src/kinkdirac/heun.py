@@ -15,11 +15,13 @@ a to +infinity.
 
 Each function takes one parameter set or a batch: any of q, alpha, beta,
 gamma, delta a 1-D numpy array.  A batch shares a and z, so the path and its
-steps, and runs each loop once over all elements; an element stops adding
-terms where it would stop alone: its new coefficients are zeroed, a Taylor
-step drops the stopped elements from its arrays once at most half are live,
-and the shared powers of z stay one number, so its value does not depend on
-its batch mates.  One set stays on Python complex arithmetic.
+steps.  An element stops adding terms where it would stop alone:
+heun_series runs its loop once over all elements and zeroes a stopped
+element's new coefficients; taylor_step runs blocks of TAYLOR_BLOCK terms
+and takes each element's value from its partial sum at its own stopping
+term.  Every operation acts per element, so a batch element equals its
+one-element batch bit for bit.  One set stays on Python complex arithmetic,
+which equals the batch value to rounding.
 heun_series and heun_eval also take a numpy array of z.  heun_eval reaches
 the targets beyond the series dispatch radius by one Taylor chain, along
 default_path to the innermost, then straight through the others in order of
@@ -48,6 +50,8 @@ from .errors import (
 N_MAX_SERIES = 10_000
 # Term cap for a single Taylor re-expansion step during continuation.
 N_MAX_TAYLOR = 1_200
+# A batched Taylor step runs its recurrence in blocks of this many terms.
+TAYLOR_BLOCK = 16
 # Refuse direct series evaluation beyond this fraction of the convergence radius.
 DISK_MARGIN = 0.9
 # Each continuation step moves at most this fraction of the distance to the
@@ -340,44 +344,45 @@ def default_path(params: HeunParams, z_target: complex) -> tuple[complex, ...]:
     raise PathError(f"no admissible default path from {z0} to {z_target}")
 
 
+def _expansion(params: HeunParams, z0: complex):
+    """The ODE in polynomial form A u'' + B u' + C u = 0 re-expanded about z0:
+    A = z(z-1)(z-a), B = gamma(z-1)(z-a) + delta z(z-a) + epsilon z(z-1),
+    C = alpha beta z - q, each as its Taylor coefficients (lowest first)."""
+    a = params.a
+    ga, de, eps = params.gamma, params.delta, params.epsilon
+    A = (z0 * (z0 - 1) * (z0 - a), 3 * z0 * z0 - 2 * (1 + a) * z0 + a, 3 * z0 - (1 + a), 1.0 + 0j)
+    if A[0] == 0:
+        raise PathError(f"Taylor expansion point {z0} is a singularity")
+    b2 = ga + de + eps
+    b1 = -(ga * (1 + a) + de * a + eps)
+    b0 = ga * a
+    B = (b2 * z0 * z0 + b1 * z0 + b0, 2 * b2 * z0 + b1, b2)
+    C = (params.alpha * params.beta * z0 - params.q, params.alpha * params.beta)
+    return A, B, C
+
+
 # A diverging element overflows to inf or nan and fails its stopping test, as
 # on Python numbers, which do not warn either.
 @np.errstate(over="ignore", invalid="ignore")
 def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex, z1: complex):
     """Advance the solution (value, deriv) at z0 to z1 by local Taylor expansion.
 
-    Coefficients follow from the ODE in polynomial form A u'' + B u' + C u = 0
-    with A = z(z-1)(z-a), B = gamma(z-1)(z-a) + delta z(z-a) + epsilon z(z-1),
-    C = alpha beta z - q, re-expanded about z0.  A batch carries on only its
-    live elements once at most half are, and returns every element's value.
+    The coefficients follow from the ODE's A, B, C about z0 (_expansion); the
+    sum stops after three consecutive terms below TOL times the partial sum,
+    within N_MAX_TAYLOR terms.  One parameter set runs a loop on Python
+    numbers, a batch runs blocks of TAYLOR_BLOCK terms (_taylor_blocks): a
+    three-term update per term, the sums, stopping tests and dropping of
+    stopped elements once per block.  Each element stops at its own term.
     """
-    a = params.a
-    ga, de, eps = params.gamma, params.delta, params.epsilon
-    al, be, q = params.alpha, params.beta, params.q
-    # A(z) about z0.
-    A = (
-        z0 * (z0 - 1) * (z0 - a),
-        3 * z0 * z0 - 2 * (1 + a) * z0 + a,
-        3 * z0 - (1 + a),
-        1.0 + 0j,
-    )
-    # B(z) = b2 z^2 + b1 z + b0 about z0.
-    b2 = ga + de + eps
-    b1 = -(ga * (1 + a) + de * a + eps)
-    b0 = ga * a
-    B = (b2 * z0 * z0 + b1 * z0 + b0, 2 * b2 * z0 + b1, b2)
-    C = (al * be * z0 - q, al * be)
-    if A[0] == 0:
-        raise PathError(f"Taylor expansion point {z0} is a singularity")
-
-    every, some, maximum = params._ops.all, params._ops.any, params._ops.maximum
+    A, B, C = _expansion(params, z0)
+    if params._ops is not _ONE:
+        return _taylor_blocks(params, A, B, C, z0, value, deriv, z1)
     t = z1 - z0
     c = [value, deriv]
     val = c[0] + c[1] * t
     dv = c[1]
     tn = t  # t**(m+1) entering iteration m
-    streak, live = 0, True  # live is False for the elements that have stopped
-    index = whole = None  # once compacted: the batch positions still carried, (val, dv) of all
+    streak = 0
     for m in range(N_MAX_TAYLOR):
         s = 0j
         for j in range(1, min(3, m) + 1):
@@ -387,32 +392,86 @@ def taylor_step(params: HeunParams, z0: complex, value: complex, deriv: complex,
         for j in range(0, min(1, m) + 1):
             s += C[j] * c[m - j]
         c_new = -s / (A[0] * (m + 2) * (m + 1))
-        c_new = c_new if live is True else c_new * live  # zeros cannot grow to inf
         c.append(c_new)
         tn *= t  # now t**(m+2)
         term = c_new * tn
         val += term
-        dv = dv + ((m + 2) * c_new * (tn / t) if t != 0 else 0j)  # not +=: dv may be c[1]
-        streak = (streak + 1) * (abs(term) < TOL * maximum(abs(val), _TINY))
-        if some(streak >= 3):
-            if every(streak >= 3):
-                if index is None:
-                    return val, dv
-                whole[:, index] = val, dv
+        dv += (m + 2) * c_new * (tn / t) if t != 0 else 0j
+        streak = (streak + 1) * (abs(term) < TOL * max(abs(val), _TINY))
+        if streak >= 3:
+            return val, dv
+    raise ConvergenceError(
+        f"taylor_step: no convergence from {z0} to {z1} within {N_MAX_TAYLOR} terms for {params}"
+    )
+
+
+def _taylor_blocks(params: HeunParams, A, B, C, z0, value, deriv, z1):
+    """taylor_step over a batch, TAYLOR_BLOCK terms at a time.
+
+    c_{m+2} = U_m c_{m+1} + V_m c_m + W_m c_{m-1}: a block computes its
+    weights as 2-D arrays (terms x elements), then only this update per
+    term.  Once per block it forms the partial sums (each element's terms
+    added in order; np.cumsum took 2-7 times as long), tests them term by
+    term and drops the stopped elements, whose (value, deriv) are the
+    partial sums at their stopping term.  Every operation acts per element,
+    so an element gives the bits it gives as a batch of one.
+    """
+    t, n = z1 - z0, value.size
+    whole = np.empty((2, n), complex)  # every element's (value, deriv)
+    index = np.arange(n)  # the batch positions still carried
+    coeffs = np.array([np.broadcast_to(v, (n,)) for v in (*B, *C)])  # B0, B1, B2, C0, C1
+    c3 = np.array([np.zeros(n, complex), value, deriv])  # c_{m-1}, c_m, c_{m+1} entering term m
+    sums = np.array([value + deriv * t, deriv])  # the partial sums of (value, deriv)
+    small = np.zeros((2, n), bool)  # the stopping test at the last two terms
+    tn = t  # t**(m+1) entering term m
+    # Each block's weights (W, V, U), terms and coefficients are views of one
+    # workspace: fresh arrays of that size cost ~1400 page faults a sweep.
+    work = np.empty((TAYLOR_BLOCK + 3, 6, n), complex)
+    for m0 in range(0, N_MAX_TAYLOR, TAYLOR_BLOCK):
+        m = np.arange(m0, min(m0 + TAYLOR_BLOCK, N_MAX_TAYLOR))[:, None]
+        r1 = -1 / (A[0] * (m + 2))
+        r2 = r1 / (m + 1)
+        b0, b1, b2, c0, c1 = coeffs
+        block = work[:m.size + 3, :, :index.size]
+        W, V, U, c = block[:-3, 0], block[:-3, 1], block[:-3, 2], block[:, 5]
+        np.multiply(b2, m - 1, out=W)
+        W += (m - 1) * (m - 2)  # A[3] = 1
+        W += c1
+        W *= r2
+        np.multiply(b1, m, out=V)
+        V += A[2] * (m * (m - 1))
+        V += c0
+        V *= r2
+        np.add(b0, A[1] * m, out=U)
+        U *= r1
+        c[:3] = c3
+        for i, w in enumerate(block[:-3, :3]):  # W, V, U in the order of c
+            p = w * c[i:i + 3]
+            np.add(p[0] + p[1], p[2], out=c[i + 3])
+        powers = [tn]
+        for _ in range(m.size):
+            powers.append(powers[-1] * t)
+        tn = powers[-1]
+        powers = np.array(powers)
+        factors = np.array([powers[1:], (m[:, 0] + 2) * powers[:-1]]).T  # of (value, deriv)
+        partial = np.multiply(factors[:, :, None], c[3:, None], out=block[:-3, 3:5])
+        size = abs(partial[:, 0])  # of the terms, which become the partial sums in place
+        for term in partial:  # each element adds its terms in order
+            sums = np.add(sums, term, out=term)
+        sums, c3 = sums.copy(), c[-3:]
+        small = np.concatenate([small, size < TOL * np.maximum(abs(partial[:, 0]), _TINY)])
+        three = small[2:] & small[1:-1] & small[:-2]  # three consecutive small terms end at each
+        small = small[-2:]
+        stop = np.logical_or.reduce(three, axis=0)
+        if stop.any():
+            done = np.flatnonzero(stop)
+            whole[:, index[done]] = partial[three[:, done].argmax(axis=0), :, done].T
+            if done.size == index.size:
                 return whole[0], whole[1]
-            live = streak < 3
-            # Every 8 terms, drop the stopped elements once at most half are
-            # live (counting each term costs more than it saves); their (val, dv) is final.
-            if m % 8 == 0 and 2 * np.count_nonzero(live) <= live.size:
-                if index is None:
-                    index, whole = np.arange(live.size), np.empty((2, live.size), complex)
-                whole[:, index] = val, dv
-                keep = np.flatnonzero(live)
-                index, streak, live, val, dv = (v[keep] for v in (index, streak, live, val, dv))
-                c[-3:] = [v[keep] for v in c[-3:]]  # the recurrence reads no older ones
-                B, C = ([v[keep] if np.ndim(v) else v for v in coeffs] for coeffs in (B, C))
-    # The elements compacted away had stopped.
-    stopped = streak >= 3 if index is None else ~np.isin(np.arange(whole.shape[1]), index[streak < 3])
+            keep = np.flatnonzero(~stop)
+            index, coeffs, sums, small = index[keep], coeffs[:, keep], sums[:, keep], small[:, keep]
+            c3 = c3[:, keep]
+    stopped = ~np.isin(np.arange(n), index)
     raise ConvergenceError(
         f"taylor_step: no convergence from {z0} to {z1} within {N_MAX_TAYLOR} terms "
         f"for {_element(params, stopped)}"

@@ -486,7 +486,8 @@ def test_nan_parameter_exits_2(command, flag, capsys):
 @pytest.mark.parametrize("command,flag,value", [
     ("phase-sweep", "--k-max", "inf"), ("phase-sweep", "--k-min", "inf"),
     ("scatter", "--k", "inf"), ("scatter", "--k", "-inf"), ("scatter", "--M", "inf"),
-    ("bound-states", "--M", "nan"),
+    ("bound-states", "--M", "nan"), ("profile", "--beta", "inf"), ("profile", "--beta", "nan"),
+    ("phase-sweep", "--beta", "-inf"),
 ])
 def test_non_finite_parameter_is_a_usage_error(command, flag, value, capsys):
     # Not a numerical failure (exit 3) of the dispersion check downstream.
@@ -494,6 +495,25 @@ def test_non_finite_parameter_is_a_usage_error(command, flag, value, capsys):
         main([command, f"{flag}={value}"])
     assert exc.value.code == 2
     assert f"{flag} must be finite, got {float(value)}" in capsys.readouterr().err
+
+
+def test_non_finite_beta_writes_no_json(tmp_path, capsys):
+    # json.dumps would write the invalid token Infinity into "config".
+    out = tmp_path / "p.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--beta", "inf", "--format", "json", "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert "--beta must be finite, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_non_positive_mass_is_a_usage_error(value, capsys):
+    # Named as --M, not as the k range derived from it.
+    with pytest.raises(SystemExit) as exc:
+        main(["scatter", f"--M={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--M must be positive, got {float(value)}" in err and "k_min" not in err
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -3,6 +3,7 @@
 import cmath
 import importlib
 import inspect
+import itertools
 import math
 import warnings
 
@@ -21,6 +22,7 @@ from kinkdirac.heun import (
     heun_series,
     recurrence_coeffs,
     second_solution_params,
+    taylor_step,
 )
 from kinkdirac.oracle import integrate_heun
 from kinkdirac.soliton import Family, SolitonBackground, SpectralPoint, build_solution, eval_u
@@ -489,6 +491,43 @@ def test_convergence_error_after_compaction_names_the_element(monkeypatch):
     batch = HeunParams(a=0.5, q=q, alpha=-1, beta=0, gamma=gamma, delta=0.8)
     with pytest.raises(ConvergenceError, match=r"^taylor_step: .*q=100j, .*gamma=\(1\.3\+0j\)"):
         heun_eval(batch, 0.5 + 0.5j)
+
+
+def test_batch_honours_the_taylor_term_cap_exactly(monkeypatch):
+    # The cap cuts the last block of terms.  The one-set loop counts the
+    # terms each element needs; under a cap of exactly that many (not a
+    # multiple of the block size) the batch stops there with its uncapped
+    # bits, and one term fewer names the element that needs it.
+    z0, z1 = 0.2 + 0.2j, 0.35 + 0.35j
+
+    def params(q):
+        return HeunParams(a=0.5, q=q, alpha=-1, beta=0, gamma=1.2, delta=0.8)
+
+    def needed(q):  # the least cap under which the one-set loop converges
+        for cap in itertools.count(1):
+            monkeypatch.setattr(heun, "N_MAX_TAYLOR", cap)
+            try:
+                taylor_step(params(q), z0, 1.0 + 0j, 0j, z1)
+                return cap
+            except ConvergenceError:
+                pass
+
+    def step(*qs):
+        start = np.ones(len(qs), complex), np.zeros(len(qs), complex)
+        return taylor_step(params(np.array(qs)), z0, *start, z1)
+
+    easy, hard = needed(0.3), needed(40j)
+    assert easy < hard - 1
+    assert all(cap % heun.TAYLOR_BLOCK not in (0, 1) for cap in (easy, hard))
+    monkeypatch.undo()
+    free = step(0.3, 40j)
+    for cap, qs in ((easy, [0.3]), (hard, [0.3, 40j])):
+        monkeypatch.setattr(heun, "N_MAX_TAYLOR", cap)
+        capped = step(*qs)
+        assert all(np.array_equal(v, w[:len(qs)]) for v, w in zip(capped, free))
+    monkeypatch.setattr(heun, "N_MAX_TAYLOR", hard - 1)
+    with pytest.raises(ConvergenceError, match=rf"^taylor_step: .* within {hard - 1} terms .*q=40j"):
+        step(0.3, 40j)
 
 
 def test_second_solution_continuous_through_gamma_zero():

@@ -337,11 +337,31 @@ def test_batched_match_equals_per_family_evaluation(M, branch, monkeypatch):
     assert np.max(abs(abs(joint.t) ** 2 + abs(joint.r) ** 2 - 1.0)) <= 1e-8
 
 
+@pytest.mark.parametrize("M", [1.0, 5.0])
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_batched_match_agrees_with_one_point_match(M, branch):
+    # A batch runs its Taylor steps in blocks of terms, one point on Python
+    # numbers, with different rounding: over the default sweep grid they
+    # agree to rounding, which term growth amplifies above k/M = 30.
+    from kinkdirac.scattering import _match, log_grid
+
+    bg = SolitonBackground(M=M, K=M)
+    ks = log_grid(1e-3 * M, 50.0 * M, 64)
+    batch = _match(bg, SpectralPoint.scattering(bg, np.array(ks), branch), 0.0)
+    for i, k in enumerate(ks):
+        one = match_coefficients(bg, SpectralPoint.scattering(bg, k, branch))
+        bound = 1e-11 if k < 30.0 * M else 1e-8
+        assert abs(batch.c1[i] - one.c1) <= bound * abs(one.c1), k
+        assert abs(batch.T[i] - one.T) <= bound, k
+        assert abs(math.remainder(batch.delta[i] - one.delta, 2 * math.pi)) <= bound, k
+
+
 @pytest.mark.parametrize("branch", ["positive", "negative"])
 def test_match_element_alone_equals_its_batch_value(branch):
-    # An element that stops adding series or Taylor terms zeroes its own new
-    # coefficients; the shared powers z^n and t^m stay Python numbers, so no
-    # element's rounding depends on when its batch mates stop.
+    # An element that stops adding series terms zeroes its own new
+    # coefficients, a Taylor step takes its partial sum at its own stopping
+    # term, and the shared powers z^n and t^m are computed alike for every
+    # width, so no element's rounding depends on when its batch mates stop.
     from kinkdirac.scattering import _match, log_grid
 
     bg = SolitonBackground(M=1.0, K=1.0)
