@@ -7,7 +7,6 @@ scatter       matched wavefunction traces around x = 0 at one momentum
 phase-sweep   (k, E, c1, c2, T, R, delta) over a momentum grid
 bound-states  bound levels plus the Levinson report
 validate      cross-check suite (oracle vs Heun pipeline); exit 1 on failure
-heun-eval     debug access to the Heun evaluator
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical failure.
 Output is CSV (17 significant digits, fixed column order) or JSON with the
@@ -20,13 +19,14 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import KinkDiracError
-from .heun import HeunParams, heun_eval, heun_second_solution, heun_series
+from .heun import heun_eval, heun_series
 from .oracle import integrate_heun, oracle_scattering, residuals
 from .scattering import conjugate_spinor, log_grid, match_coefficients, matched_u, unwrap_sweep
 from .soliton import SolitonBackground, SpectralPoint, eval_u, kink_profile, v_from_u
@@ -269,39 +269,18 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if all(c["passed"] for c in checks) else 1
 
 
-def _complex_arg(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
-
-
-def cmd_heun_eval(cfg: RunConfig, args) -> int:
-    params = HeunParams(
-        a=args.a, q=args.q, alpha=args.alpha, beta=args.beta_heun,
-        gamma=args.gamma, delta=args.delta,
-    )
-    if args.second:
-        value, deriv = heun_second_solution(params, args.z)
-    else:
-        value, deriv = heun_eval(params, args.z)
-    records = [
-        {
-            "re_z": args.z.real, "im_z": args.z.imag,
-            "re_value": value.real, "im_value": value.imag,
-            "re_derivative": deriv.real, "im_derivative": deriv.imag,
-        }
-    ]
-    _emit(cfg, ["re_z", "im_z", "re_value", "im_value", "re_derivative", "im_derivative"], records)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
 
+# Option values argparse must not read as option names: every negative number
+# float() reads (-1e-3, -inf), where argparse knows only -1 and -.5.
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
+    sp._negative_number_matcher = _NEGATIVE_NUMBER
     sp.add_argument("--M", type=float, default=None, help="bare fermion mass (default 5; profile: 1.5)")
     sp.add_argument("--K-sign", choices=("kink", "antikink"), default="kink", dest="K_sign")
     sp.add_argument("--beta", type=float, default=1.0, help="coupling beta")
@@ -327,16 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("profile", "scatter", "phase-sweep", "bound-states", "validate"):
         _add_common(sub.add_parser(name))
-    he = sub.add_parser("heun-eval", help="debug access to the Heun evaluator")
-    _add_common(he)
-    he.add_argument("--a", type=_complex_arg, default=0.5 + 0j)
-    he.add_argument("--q", type=_complex_arg, required=True)
-    he.add_argument("--alpha", type=_complex_arg, required=True)
-    he.add_argument("--beta-heun", type=_complex_arg, required=True, dest="beta_heun")
-    he.add_argument("--gamma", type=_complex_arg, required=True)
-    he.add_argument("--delta", type=_complex_arg, required=True)
-    he.add_argument("--z", type=_complex_arg, required=True)
-    he.add_argument("--second", action="store_true", help="evaluate the second local solution")
     return parser
 
 
@@ -346,7 +315,6 @@ _DEFAULT_SAMPLES = {
     "phase-sweep": 64,
     "bound-states": 48,
     "validate": 64,
-    "heun-eval": 2,
 }
 
 
@@ -392,8 +360,6 @@ def main(argv=None) -> int:
             return cmd_bound_states(cfg)
         if args.command == "validate":
             return cmd_validate(cfg)
-        if args.command == "heun-eval":
-            return cmd_heun_eval(cfg, args)
         parser.error(f"unknown command {args.command!r}")
     except KinkDiracError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Local Heun function evaluation.
 
 Implements the power series of the local Heun function Hl (normalized so that
-Hl(0) = 1), the second local solution z^(1-gamma) * Hl(shifted parameters),
-and analytic continuation of (Hl, Hl') to the cut plane by chained Taylor
-re-expansion of the defining ODE
+Hl(0) = 1), the parameter set of the second local solution z^(1-gamma)
+Hl[shifted] (its power is applied by the caller), and analytic continuation
+of (Hl, Hl') to the cut plane by chained Taylor re-expansion of the defining
+ODE
 
     H'' + (gamma/z + delta/(z-1) + epsilon/(z-a)) H'
         + (alpha*beta*z - q) / (z (z-1) (z-a)) H = 0,
@@ -23,9 +24,10 @@ term.  Every operation acts per element, so a batch element equals its
 one-element batch bit for bit.  One set stays on Python complex arithmetic,
 which equals the batch value to rounding.
 heun_series and heun_eval also take a numpy array of z.  heun_eval reaches
-the targets beyond the series dispatch radius by one Taylor chain, along
-default_path to the innermost, then straight through the others in order of
-|z|, and validates that polyline once.
+the targets beyond the series dispatch radius by one Taylor chain on one
+fixed rule: default_path to the innermost target, through w = a(1 +- i) if
+that target lies right of a, then straight through the others in order of
+|z|.  It validates that polyline once.
 Of the package it imports only kinkdirac.errors.
 """
 
@@ -152,26 +154,24 @@ def recurrence_coeffs(params: HeunParams, n: int) -> tuple[complex, complex, com
     return R, P, Q
 
 
-def check_gamma_nondegenerate(params: HeunParams, second: bool = False) -> None:
-    """Raise DegenerateGammaError where gamma makes the requested solution
-    degenerate.
-
-    The series recurrence divides by Q_{n+1} = a (n+1)(n+gamma), so gamma at a
-    non-positive integer makes some Q vanish.  The second solution
-    z^(1-gamma) Hl[shifted] coincides with the first at gamma = 1 (equal
-    exponents, the logarithmic case), and at gamma = 2, 3, ... its shifted
-    series has gamma = 0, -1, ...
-    """
+def _check_gamma(params: HeunParams, stage: str, positive: bool) -> None:
+    """Raise DegenerateGammaError naming stage where gamma lies within
+    GAMMA_INTEGER_TOL of a positive integer (positive) or of a non-positive one."""
     g = params.gamma
     nearest = (g.real + 0.5) // 1
-    ok = (nearest < 1 if second else nearest > 0) | (abs(g - nearest) >= GAMMA_INTEGER_TOL)
+    ok = ((nearest > 0) != positive) | (abs(g - nearest) >= GAMMA_INTEGER_TOL)
     if not params._ops.all(ok):
-        stage = "heun_second_solution" if second else "heun_series"
         g, nearest = _first_failure(ok, g, nearest)
         raise DegenerateGammaError(
             f"{stage}: gamma = {g} is within {GAMMA_INTEGER_TOL} of the degenerate value "
             f"{nearest:.0f} ({_element(params, ok)})"
         )
+
+
+def check_gamma_nondegenerate(params: HeunParams) -> None:
+    """Raise DegenerateGammaError where gamma is at a non-positive integer: the
+    series recurrence divides by Q_{n+1} = a (n+1)(n+gamma)."""
+    _check_gamma(params, "heun_series", positive=False)
 
 
 def heun_series(params: HeunParams, z: complex):
@@ -227,8 +227,13 @@ def second_solution_params(params: HeunParams) -> HeunParams:
     """Parameter set of the second local solution z^(1-gamma) Hl[shifted](z).
 
     Shift: q -> q + (epsilon + delta*a)(1 - gamma), alpha -> alpha - gamma + 1,
-    beta -> beta - gamma + 1, gamma -> 2 - gamma, delta unchanged.
+    beta -> beta - gamma + 1, gamma -> 2 - gamma, delta unchanged.  Raises
+    DegenerateGammaError, naming the gamma passed in, where the second solution
+    degenerates: it coincides with the first at gamma = 1 (equal exponents, the
+    logarithmic case), and at gamma = 2, 3, ... its shifted series has
+    gamma = 0, -1, ...
     """
+    _check_gamma(params, "second_solution_params", positive=True)
     a, q = params.a, params.q
     ga = params.gamma
     q_s = q + (params.epsilon + params.delta * a) * (1 - ga)
@@ -240,24 +245,6 @@ def second_solution_params(params: HeunParams) -> HeunParams:
         gamma=2 - ga,
         delta=params.delta,
     )
-
-
-def heun_second_solution(params: HeunParams, z: complex):
-    """Second local solution z^(1-gamma) Hl[shifted](z) and its derivative.
-
-    Hl[shifted] comes from heun_eval, so it is continued beyond the series
-    disk like the first solution; z^(1-gamma) is the principal branch.
-    """
-    z = complex(z)
-    if z == 0:
-        raise DomainError("second solution is singular (fractional power) at z = 0")
-    check_gamma_nondegenerate(params, second=True)
-    h, dh = heun_eval(second_solution_params(params), z)
-    power = 1 - params.gamma
-    w = params._ops.exp(power * cmath.log(z))
-    value = w * h
-    deriv = w * (dh + power / z * h)
-    return value, deriv
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +301,19 @@ def _clearance(params: HeunParams, points) -> float:
 
 
 def default_path(params: HeunParams, z_target: complex) -> tuple[complex, ...]:
-    """Waypoints from r0 z/|z| on the series disk (r0 = DISK_MARGIN/2 times its
-    radius) to z_target: a straight segment, or a two-segment perpendicular
-    detour when the straight segment lacks clearance."""
+    """Waypoints to z_target on one fixed rule: a target right of a is reached
+    through w = a(1 +- i) on its side of the real axis (for a = 1/2 the
+    matching point), so no chord runs close past a toward z = 1.  The path
+    leaves the series disk at r0 = DISK_MARGIN/2 times its radius on the ray
+    toward its first waypoint and is straight from there."""
     z_target = complex(z_target)
-    z0 = 0.5 * DISK_MARGIN * params.radius * z_target / abs(z_target)
-    required = _clearance(params, [z0, z_target])
-    if required == 0:
+    if z_target in params.singularities:
         raise PathError(f"continuation target {z_target} is a singular point")
-
-    def candidates():
-        yield (z0, z_target)
-        # Two-segment detour through a perpendicular offset of the midpoint,
-        # preferring the half-plane of the target (never toward the cut).
-        direction = (z_target - z0) / abs(z_target - z0)
-        perp = 1j * direction
-        sign_pref = 1.0 if z_target.imag >= 0 else -1.0
-        if (perp * sign_pref).imag < 0:
-            sign_pref = -sign_pref
-        mid = 0.5 * (z0 + z_target)
-        span = abs(z_target - z0)
-        for sign in (sign_pref, -sign_pref):
-            for frac in (0.3, 0.5, 0.8, 1.2):
-                yield (z0, mid + sign * perp * frac * span, z_target)
-
-    for pts in candidates():
-        if _path_fault(params, pts, required) is None:
-            return pts
-    raise PathError(f"no admissible default path from {z0} to {z_target}")
+    waypoints = (z_target,)
+    if z_target.real > params.a.real:
+        waypoints = (params.a * (1 + 1j if z_target.imag >= 0 else 1 - 1j), z_target)
+    first = waypoints[0]
+    return (0.5 * DISK_MARGIN * params.radius * first / abs(first),) + waypoints
 
 
 def _expansion(params: HeunParams, z0: complex):
@@ -505,13 +477,13 @@ def heun_eval(params: HeunParams, z):
 
     z is one point, or a numpy array of targets (of any shape, which the
     results take) for one parameter set.  The targets within r0 =
-    DISK_MARGIN/2 times the series radius are one series call.  The others are one Taylor chain: along default_path to the
-    innermost of them, then straight from target to target in order of |z|.
-    That polyline is validated once: no segment crosses the cut, and each
-    keeps MIN_CLEARANCE from {0, 1, a}, or half the least distance of the
-    disk point or a target from them if that is less.  The cut [a, +inf)
-    covers z = 1 too only for a real a in (0, 1), so continuation needs such
-    an a.
+    DISK_MARGIN/2 times the series radius are one series call.  The others
+    are one Taylor chain: along default_path to the innermost of them, then
+    straight from target to target in order of |z|.  That polyline is
+    validated once: no segment crosses the cut, and each keeps
+    MIN_CLEARANCE from {0, 1, a}, or half the least distance of the disk
+    point or a target from them if that is less.  The cut [a, +inf) covers
+    z = 1 too only for a real a in (0, 1), so continuation needs such an a.
     """
     zs = np.ravel(z).astype(complex)
     if not np.isfinite(zs).all():

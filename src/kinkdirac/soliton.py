@@ -24,8 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .heun import (HeunParams, _first_failure, _xp, check_gamma_nondegenerate, heun_eval,
-                   second_solution_params)
+from .heun import HeunParams, _first_failure, _xp, heun_eval, second_solution_params
 
 HALF = 0.5 + 0j  # the third Heun singularity for this background
 # Largest |E^2 - M^2 - k^2| accepted, relative to max(|E^2|, |M^2 + k^2|, M^2).
@@ -235,7 +234,6 @@ def build_solution(family: Family, bg: SolitonBackground, sp: SpectralPoint) -> 
                           f"k/M = {abs(_first_failure(ok, sp.k)[0]) / bg.M:.6g}")
     amp = xp.exp(power)
     if family is Family.U2_SECOND:
-        check_gamma_nondegenerate(base, second=True)
         params = second_solution_params(base)
         z_power = 1 - base.gamma  # -i k/K
     else:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import csv
 import json
 import math
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 import kinkdirac
-from kinkdirac.cli import _csv_line, _fmt, main
+from kinkdirac import cli
+from kinkdirac.cli import _csv_line, _fmt, build_parser, main
 from kinkdirac.oracle import integrate_heun, residuals
 from kinkdirac.scattering import match_coefficients, unwrap_sweep
 from kinkdirac.soliton import SolitonBackground, SpectralPoint, eval_u
@@ -434,19 +436,38 @@ def test_validate_json_schema(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# heun-eval and error handling
+# Parsing and error handling
 # ---------------------------------------------------------------------------
 
 
-def test_heun_eval_at_origin(tmp_path):
-    code, payload = run_json(
-        ["heun-eval", "--a", "0.5", "--q", "0.3", "--alpha", "-1",
-         "--beta-heun", "0", "--gamma", "1.2", "--delta", "0.8",
-         "--z", "0.0"], tmp_path
-    )
-    assert code == 0
-    rec = payload["records"][0]
-    assert rec["re_value"] == 1.0 and rec["im_value"] == 0.0
+def test_documented_commands_are_the_parsers():
+    # The cli module docstring and the README usage block list exactly the
+    # subcommands build_parser accepts.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    doc = cli.__doc__.split("-----------\n", 1)[1].split("\n\n", 1)[0]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    usage = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    assert [line.split()[0] for line in doc.splitlines()] == list(sub.choices)
+    assert [line.split()[1] for line in usage.splitlines()
+            if line.startswith("kinkdirac ")] == list(sub.choices)
+
+
+def test_heun_eval_is_no_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["heun-eval", "--z", "0.5"])
+    assert exc.value.code == 2
+
+
+def test_exponent_form_option_value(capsys):
+    # argparse reads -1 and -.5 as values; -1e-3 and -inf must be values too.
+    assert main(["profile", "--beta", "-1e-3", "--samples", "5"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["profile", "--beta=-1e-3", "--samples", "5"]) == 0
+    assert capsys.readouterr().out == joined and joined.count("\n") == 6
+    with pytest.raises(SystemExit) as exc:
+        main(["scatter", "--k", "-inf"])
+    assert exc.value.code == 2
+    assert "--k must be finite, got -inf" in capsys.readouterr().err
 
 
 def test_main_calls_are_independent(tmp_path):
@@ -516,33 +537,12 @@ def test_non_positive_mass_is_a_usage_error(value, capsys):
     assert f"--M must be positive, got {float(value)}" in err and "k_min" not in err
 
 
-def test_numerical_failure_exits_3(tmp_path):
+def test_numerical_failure_exits_3(tmp_path, capsys):
     # k = 0 degenerates the second local solution: a numerical failure, not
-    # a usage error.
+    # a usage error, named with its stage and gamma.
     assert main(["scatter", "--M", "5", "--k", "0", "--out",
                  str(tmp_path / "x.csv")]) == 3
-
-
-@pytest.mark.parametrize("gamma", ["2", "3"])
-def test_degenerate_second_solution_names_its_stage(tmp_path, capsys, gamma):
-    assert main(["heun-eval", "--second", "--gamma", gamma, "--q", "0.3", "--alpha", "-1",
-                 "--beta-heun", "0", "--delta", "0.8", "--z", "0.1+0.1j",
-                 "--out", str(tmp_path / "x.csv")]) == 3
-    err = capsys.readouterr().err
-    assert f"heun_second_solution: gamma = ({gamma}+0j)" in err
-
-
-@pytest.mark.parametrize("a,z,reason", [
-    ("2", "1.5+0.3j", "needs a real a in (0, 1)"), ("0.5", "nan", "non-finite z = (nan+0j)"),
-])
-def test_heun_eval_outside_its_domain_exits_3(tmp_path, capsys, a, z, reason):
-    # Continuation with a outside (0, 1) could land on either side of the
-    # cut from z = 1; a non-finite z has no value at all.
-    assert main(["heun-eval", "--a", a, "--q", "0.3", "--alpha", "-1", "--beta-heun", "0",
-                 "--gamma", "1.2", "--delta", "0.8", "--z", z,
-                 "--out", str(tmp_path / "x.csv")]) == 3
-    err = capsys.readouterr().err
-    assert "heun_eval: " in err and reason in err
+    assert "second_solution_params: gamma = (1+0j)" in capsys.readouterr().err
 
 
 def test_overflowing_momentum_exits_3(tmp_path, capsys):

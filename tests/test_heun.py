@@ -13,19 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinkdirac import heun
-from kinkdirac.errors import ConvergenceError, DegenerateGammaError, DomainError, PathError
+from kinkdirac.errors import (ConvergenceError, DegenerateGammaError, DomainError, KinkDiracError,
+                              PathError)
 from kinkdirac.heun import (
     HeunParams,
     default_path,
     heun_eval,
-    heun_second_solution,
     heun_series,
     recurrence_coeffs,
     second_solution_params,
     taylor_step,
 )
 from kinkdirac.oracle import integrate_heun
-from kinkdirac.soliton import Family, SolitonBackground, SpectralPoint, build_solution, eval_u
+from kinkdirac.soliton import (Family, SolitonBackground, SpectralPoint, build_solution, eval_u,
+                               map_to_z)
 
 
 def ur1_params(M=5.0, K=5.0, k=2.5) -> HeunParams:
@@ -40,6 +41,14 @@ def uright12_params(M=5.0, K=5.0, k=2.5) -> HeunParams:
     kk = k / K
     return HeunParams(a=0.5, q=-1j * (E + k) / K, alpha=-1, beta=0,
                       gamma=1 + 1j * kk, delta=1 - 1j * kk)
+
+
+def second_solution(p: HeunParams, z: complex):
+    """z^(1-gamma) Hl[shifted](z) and its derivative, Hl[shifted] from heun_eval."""
+    h, dh = heun_eval(second_solution_params(p), z)
+    power = 1 - p.gamma
+    w = cmath.exp(power * cmath.log(z))
+    return w * h, w * (dh + power / z * h)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +267,9 @@ def test_batch_elements_equal_their_own_evaluation(sets, z):
                 min_size=1, max_size=6),
        st.sampled_from([1.0, -1.0]), _points(0.01))
 def test_batch_second_solution_equals_its_own_evaluation(points, family, z):
-    # Kink parameter sets (M = K = 1) at k/M <= 10: beyond that the second
-    # solution at the matching point is subdominant and its value noise.  It
-    # is singular at z = 0, hence |z| >= 0.01.
+    # Hl[shifted] of kink parameter sets (M = K = 1) at k/M <= 10: beyond
+    # that the second solution at the matching point is subdominant and its
+    # value noise.
     k = np.array([p[0] for p in points])
     E = np.array([p[1] for p in points]) * np.hypot(1.0, k)
 
@@ -268,8 +277,9 @@ def test_batch_second_solution_equals_its_own_evaluation(points, family, z):
         return HeunParams(a=0.5, q=family * 1j * (E + k), alpha=-1, beta=0,
                           gamma=1 - family * 1j * k, delta=1 + family * 1j * k)
 
-    out = heun_second_solution(params(k, E), z)
-    _assert_each_equals_alone(out, [heun_second_solution(params(*kE), z) for kE in zip(k.tolist(), E.tolist())])
+    out = heun_eval(second_solution_params(params(k, E)), z)
+    _assert_each_equals_alone(out, [heun_eval(second_solution_params(params(*kE)), z)
+                                    for kE in zip(k.tolist(), E.tolist())])
 
 
 def test_series_z_batch_broadcasts_against_a_parameter_batch():
@@ -333,6 +343,62 @@ def test_x_batch_equals_pointwise_evaluation(k, branch):
             assert abs(du[i] - du_x) <= 1e-11 * scale
 
 
+def _x_batch(sol, xs, M):
+    """(x, u, u') of eval_u over the widest xs[|Mx| <= X], X = 10, 8, 6, 4,
+    that returns: near z = 1 a Taylor step may fail to converge."""
+    for X in (10.0, 8.0, 6.0, 4.0):
+        x = xs[abs(M * xs) <= X]
+        try:
+            return (x, *eval_u(sol, x))
+        except KinkDiracError:
+            pass
+    return xs[:0], xs[:0], xs[:0]
+
+
+@pytest.mark.parametrize("M", [1.0, 5.0])
+def test_one_point_eval_u_equals_the_x_batch(M):
+    # A batch of x steps along the arc |z - 1/2| = 1/2 from target to target;
+    # one x right of a = 1/2 (toward z = 1) goes through the matching point.
+    # All three families at k/M in {0.05, 0.5, 2, 10} on both branches and at
+    # bound E in {0, +-M/2}, x in [-10/M, 10/M]: 1e-10 for |Mx| <= 3 and 1e-7
+    # beyond, where u1_first's Hl = 1 - z at E = 0 cancels digits as z -> 1.
+    # Near z = 1 either call may raise a typed error; nothing else.
+    bg = SolitonBackground(M=M, K=M)
+    points = [SpectralPoint.scattering(bg, k * M, branch)
+              for k in (0.05, 0.5, 2.0, 10.0) for branch in ("positive", "negative")]
+    points += [SpectralPoint.bound(bg, E * M) for E in (0.0, 0.5, -0.5)]
+    xs = np.linspace(-10.0, 10.0, 41) / M
+    compared = 0
+    for sp, family in itertools.product(points, Family):
+        try:
+            sol = build_solution(family, bg, sp)
+        except KinkDiracError:
+            continue
+        for x, u, du in zip(*_x_batch(sol, xs, M)):
+            try:
+                u_x, du_x = eval_u(sol, float(x))
+            except KinkDiracError:
+                continue
+            bound = (1e-10 if abs(M * x) <= 3 else 1e-7) * max(abs(u_x), abs(du_x))
+            assert abs(u - u_x) <= bound and abs(du - du_x) <= bound, (family, sp, x)
+            compared += 1
+    assert compared >= 1000
+
+
+@pytest.mark.parametrize("M", [1.0, 5.0])
+def test_one_point_zero_mode_in_closed_form(M):
+    # u1_first at E = 0 is the zero mode u0 = sqrt(sech 2Mx) e^{i arctan e^{2Mx}}
+    # up to a constant (test_spectrum), also one x at a time: on x < 0 its
+    # z lies right of a = 1/2 and within e^{2Mx} of z = 1.
+    bg = SolitonBackground(M=M, K=M)
+    sol = build_solution(Family.U1_FIRST, bg, SpectralPoint.bound(bg, 0.0))
+    xs = np.linspace(-6.0, 6.0, 49) / M
+    u = np.array([eval_u(sol, x)[0] for x in xs.tolist()])
+    s = 2.0 * M * xs
+    ratio = u / (np.sqrt(1.0 / np.cosh(s)) * np.exp(1j * np.arctan(np.exp(s))))
+    assert np.max(abs(ratio / ratio[24] - 1.0)) <= 1e-11
+
+
 def test_z_batch_equals_pointwise_evaluation(monkeypatch):
     # Along the arc z = 1/(1 + i e^-s) of the U2 frame through the disk edge
     # to the matching point, in scrambled order and with a repeated target:
@@ -382,14 +448,20 @@ def test_target_batch_chain_is_validated_as_one_path():
 
 
 def test_second_solution_is_definitional_composition():
-    p = ur1_params()  # gamma = 1 - 0.5i, k/K = 0.5
-    z = 0.1
-    v, dv = heun_second_solution(p, z)
-    shifted = second_solution_params(p)
-    hs, dhs = heun_series(shifted, z)
-    w = z ** (1 - p.gamma)
-    assert abs(v - w * hs) < 1e-13 * abs(v)
-    assert abs(dv - w * (dhs + (1 - p.gamma) / z * hs)) < 1e-12 * abs(dv)
+    # eval_u's u2_second is amp e^{ikx} z^(1-gamma) Hl[shifted](z), and its
+    # x-derivative the chain rule through dz/dx = 2K z (1 - z), at a z inside
+    # the series disk: z = 1/(1 + 7i), |z| = 0.14.
+    bg = SolitonBackground(M=5.0, K=5.0)
+    sol = build_solution(Family.U2_SECOND, bg, SpectralPoint.scattering(bg, 2.5))
+    p = uright12_params()  # gamma = 1 + 0.5i, k/K = 0.5
+    x = -math.log(7.0) / 10.0
+    z = map_to_z(Family.U2_SECOND, bg, x)
+    u, du = eval_u(sol, x)
+    hs, dhs = heun_series(second_solution_params(p), z)
+    w = sol.amp * cmath.exp(2.5j * x) * z ** (1 - p.gamma)
+    assert abs(u - w * hs) < 1e-13 * abs(u)
+    dz = 10.0 * z * (1 - z)
+    assert abs(du - (2.5j + (1 - p.gamma) * dz / z) * w * hs - w * dhs * dz) < 1e-12 * abs(du)
 
 
 def test_second_solution_shifted_accessory_parameter():
@@ -414,7 +486,7 @@ def test_first_and_second_solutions_independent():
     p = ur1_params()
     z = 0.1
     v1, d1 = heun_series(p, z)
-    v2, d2 = heun_second_solution(p, z)
+    v2, d2 = second_solution(p, z)
     wronskian = v1 * d2 - v2 * d1
     assert abs(wronskian) > 1e-3
 
@@ -422,13 +494,13 @@ def test_first_and_second_solutions_independent():
 def test_degenerate_gamma_rejected():
     p = HeunParams(a=0.5, q=1.0, alpha=-1, beta=0, gamma=1.0, delta=1.0)
     with pytest.raises(DegenerateGammaError):
-        heun_second_solution(p, 0.1)
+        second_solution_params(p)
     # A batch fails on its one degenerate element, named with its parameters.
     batch = HeunParams(a=0.5, q=np.array([1.0, 2.0, 3.0]), alpha=-1, beta=0,
                        gamma=np.array([1.5, 1.0, 0.5 + 1j]), delta=1.0)
-    with pytest.raises(DegenerateGammaError, match=r"^heun_second_solution: gamma = \(1\+0j\) .*"
+    with pytest.raises(DegenerateGammaError, match=r"^second_solution_params: gamma = \(1\+0j\) .*"
                                                    r"q=\(2\+0j\)"):
-        heun_second_solution(batch, 0.1)
+        second_solution_params(batch)
     batch = HeunParams(a=0.5, q=np.array([1.0, 2.0]), alpha=-1, beta=0,
                        gamma=np.array([0.5, -1.0]), delta=1.0)
     with pytest.raises(DegenerateGammaError, match=r"^heun_series: gamma = \(-1\+0j\) .*q=\(2\+0j\)"):
@@ -535,7 +607,7 @@ def test_second_solution_continuous_through_gamma_zero():
     # z Hl[gamma = 2], the limit of its neighbours.
     def second(gamma):
         p = HeunParams(a=0.5, q=0.3 + 0.1j, alpha=-1, beta=0, gamma=gamma, delta=1.2)
-        return heun_second_solution(p, 0.1 + 0.05j)
+        return second_solution(p, 0.1 + 0.05j)
 
     v0, d0 = second(0.0)
     for g in (1e-6, -1e-6):
@@ -547,16 +619,11 @@ def test_second_solution_continuous_through_gamma_zero():
 @pytest.mark.parametrize("gamma", [2.0, 3.0])
 def test_second_solution_error_names_stage_and_caller_gamma(gamma):
     # The shifted series would have gamma = 0 or -1; the error must name the
-    # second solution and the gamma the caller passed.
+    # second solution's stage and the gamma the caller passed.
     p = HeunParams(a=0.5, q=0.3, alpha=-1, beta=0, gamma=gamma, delta=0.8)
     with pytest.raises(DegenerateGammaError,
-                       match=rf"^heun_second_solution: gamma = \({gamma:g}\+0j\)"):
-        heun_second_solution(p, 0.1 + 0.1j)
-
-
-def test_second_solution_singular_at_zero():
-    with pytest.raises(DomainError):
-        heun_second_solution(ur1_params(), 0.0)
+                       match=rf"^second_solution_params: gamma = \({gamma:g}\+0j\)"):
+        second_solution_params(p)
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +659,10 @@ def test_continuation_matches_ode_uright12():
 
 @pytest.mark.parametrize("z", [0.5 + 0.5j, 0.5 - 0.5j])
 def test_second_solution_continues_beyond_disk(z):
-    p = ur1_params()
-    v, _ = heun_second_solution(p, z)
-    shifted = second_solution_params(p)
+    shifted = second_solution_params(ur1_params())
+    h, _ = heun_eval(shifted, z)
     h_ode = integrate_heun(shifted, default_path(shifted, z))[0][-1]
-    v_ode = cmath.exp((1 - p.gamma) * cmath.log(z)) * h_ode
-    assert abs(v - v_ode) <= 1e-8 * abs(v_ode)
+    assert abs(h - h_ode) <= 1e-8 * abs(h_ode)
 
 
 def test_path_independence_of_homotopic_paths():
@@ -629,21 +694,31 @@ def test_path_clearance_enforced():
 
 
 def test_default_path_detours_near_singular_targets():
-    # A target close to z = 1 on the upper side: straight from the start point
-    # would pass near a = 1/2.
+    # A target close to z = 1 is reached through the matching point w on its
+    # side of the real axis, on w's own path: straight from the disk, it would
+    # pass near a = 1/2.  A target not right of a, as w, is one straight segment.
     p = ur1_params()
-    z = 0.97 + 0.02j
-    path = default_path(p, z)
-    assert len(path) == 3
-    v, _ = heun_eval(p, z)
-    v_ode = integrate_heun(p, path)[0][-1]
-    assert abs(v - v_ode) <= 1e-7 * abs(v_ode)
+    for z, w in ((0.97 + 0.02j, 0.5 + 0.5j), (0.97 - 0.02j, 0.5 - 0.5j)):
+        path = default_path(p, z)
+        assert default_path(p, w) == (0.225 * w / abs(w), w) and path == default_path(p, w) + (z,)
+        v, _ = heun_eval(p, z)
+        v_ode = integrate_heun(p, path)[0][-1]
+        assert abs(v - v_ode) <= 1e-7 * abs(v_ode)
+
+
+@pytest.mark.parametrize("z,text", [(1.0, r"\(1\+0j\)"), (0.5, r"\(0\.5\+0j\)")])
+def test_singular_target_raises_path_error(z, text):
+    # z = 1 and z = a: no path reaches a singular point.
+    p = ur1_params()
+    for target in (z, np.array([0.1j, z])):
+        with pytest.raises(PathError, match=rf"^continuation target {text} is a singular point"):
+            heun_eval(p, target)
 
 
 @pytest.mark.parametrize("z", [1 / (1 + 1j * math.exp(1.0)), 0.97 + 0.02j])
 def test_one_target_batch_is_the_scalar_call(z):
     # One routine builds the chain for one target and many: a batch of one
-    # takes the same path, detour included, to the same bits.
+    # takes the same path, through the matching point right of a, to the same bits.
     p = ur1_params()
     value, deriv = heun_eval(p, np.array([z]))
     assert (value[0], deriv[0]) == heun_eval(p, z)
