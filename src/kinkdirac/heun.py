@@ -25,9 +25,9 @@ one-element batch bit for bit.  One set stays on Python complex arithmetic,
 which equals the batch value to rounding.
 heun_series and heun_eval also take a numpy array of z.  heun_eval reaches
 the targets beyond the series dispatch radius by one Taylor chain on one
-fixed rule: default_path to the innermost target, through w = a(1 +- i) if
-that target lies right of a, then straight through the others in order of
-|z|.  It validates that polyline once.
+fixed rule: default_path to the target farthest from z = 1, through
+w = a(1 +- i) if that target lies right of a, then straight through the
+others in order of decreasing |1 - z|.  It validates that polyline once.
 Of the package it imports only kinkdirac.errors.
 """
 
@@ -168,12 +168,6 @@ def _check_gamma(params: HeunParams, stage: str, positive: bool) -> None:
         )
 
 
-def check_gamma_nondegenerate(params: HeunParams) -> None:
-    """Raise DegenerateGammaError where gamma is at a non-positive integer: the
-    series recurrence divides by Q_{n+1} = a (n+1)(n+gamma)."""
-    _check_gamma(params, "heun_series", positive=False)
-
-
 def heun_series(params: HeunParams, z: complex):
     """Evaluate (Hl(z), Hl'(z)) by the defining power series about z = 0.
 
@@ -191,7 +185,7 @@ def heun_series(params: HeunParams, z: complex):
         raise DomainError(
             f"|z| = {np.max(abs(z)):.6g} exceeds {DISK_MARGIN} * min(|a|, 1) = {DISK_MARGIN * rad:.6g}"
         )
-    check_gamma_nondegenerate(params)
+    _check_gamma(params, "heun_series", positive=False)  # the recurrence divides by n + gamma
     every, some, maximum = ops.all, ops.any, ops.maximum
 
     h_prev, h_cur = 0j, 1.0 + 0j
@@ -478,11 +472,12 @@ def heun_eval(params: HeunParams, z):
     z is one point, or a numpy array of targets (of any shape, which the
     results take) for one parameter set.  The targets within r0 =
     DISK_MARGIN/2 times the series radius are one series call.  The others
-    are one Taylor chain: along default_path to the innermost of them, then
-    straight from target to target in order of |z|.  That polyline is
-    validated once: no segment crosses the cut, and each keeps
-    MIN_CLEARANCE from {0, 1, a}, or half the least distance of the disk
-    point or a target from them if that is less.  The cut [a, +inf) covers
+    are one Taylor chain: along default_path to the one farthest from z = 1,
+    then straight from target to target in order of decreasing |1 - z| (on
+    the maps' arc the order of |z|, whose values tie at 1.0 near z = 1).
+    That polyline is validated once: no segment crosses the cut, and each
+    keeps MIN_CLEARANCE from {0, 1, a}, or half the least distance of the
+    disk point or a target from them if that is less.  The cut [a, +inf) covers
     z = 1 too only for a real a in (0, 1), so continuation needs such an a.
     """
     zs = np.ravel(z).astype(complex)
@@ -491,7 +486,7 @@ def heun_eval(params: HeunParams, z):
     if isinstance(z, np.ndarray) and params._ops is not _ONE:
         raise ValueError("a batch of targets takes one parameter set")
     inner = abs(zs) <= 0.5 * DISK_MARGIN * params.radius
-    outer = np.flatnonzero(~inner)[np.argsort(abs(zs[~inner]), kind="stable")]
+    outer = np.flatnonzero(~inner)[np.argsort(-abs(1.0 - zs[~inner]), kind="stable")]
     if outer.size:
         if params.a.imag != 0 or not 0 < params.a.real < 1:
             raise DomainError(f"heun_eval: continuation beyond the series disk needs a real a in "

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBasisError
+from .errors import DegenerateBasisError, KinkDiracError
 from .heun import _first_failure, _xp
 from .soliton import (Family, LocalSolution, SolitonBackground, SpectralPoint, build_solution,
                       eval_u, eval_u_at_origin, ratio_squared, v_from_u)
@@ -46,7 +46,7 @@ from .soliton import (Family, LocalSolution, SolitonBackground, SpectralPoint, b
 @dataclass(frozen=True)
 class ScatteringData:
     """Matching coefficients and derived scattering observables at one (E, k),
-    or numpy arrays of them over a batch (as unwrap_sweep returns), with the
+    or numpy arrays of them over a batch (as sweep returns), with the
     kink's (u1_first, u2_first, u2_second) basis they were matched in and, for
     the antikink, the kink data they are the image of."""
 
@@ -108,7 +108,7 @@ def _conjugate(kink: ScatteringData) -> ScatteringData:
 
 def _match(bg: SolitonBackground, sp: SpectralPoint, x0: float) -> ScatteringData:
     """match_coefficients at one (E, k) or, with E and k arrays, at a batch of
-    them (unwrap_sweep): at x0 = 0 one Heun batch for all three local solutions
+    them (sweep): at x0 = 0 one Heun batch for all three local solutions
     of the kink (eval_u_at_origin).  W(u2_first, u2_second) is numerical, not
     the closed form of spectrum.c1_bound_indicator: its rounding cancels
     against the numerator's in c1 and c2, which keeps unitarity at large k/M."""
@@ -176,18 +176,14 @@ def conjugate_spinor(kink: ScatteringData, *pairs):
 
 
 # ---------------------------------------------------------------------------
-# Phase-shift sweeps with continuous unwrapping
+# Phase-shift sweeps
 # ---------------------------------------------------------------------------
 
 
-# Refine the sweep grid where adjacent raw phases jump by at least pi/2, adding
-# at most this many extra momenta per sweep.
-MAX_REFINE = 400
-
-
-def _wrap(angle: float) -> float:
-    """Map an angle difference into (-pi, pi]."""
-    return -((-angle + math.pi) % (2.0 * math.pi) - math.pi)
+# Largest |delta| a sweep returns.  Levinson's theorem bounds the principal
+# value -arg c1 by pi/2 on each branch, so it never wraps; beyond this bound
+# the match has lost c1's phase.
+DELTA_BOUND = 0.75 * math.pi
 
 
 def log_grid(k_min: float, k_max: float, n: int) -> list[float]:
@@ -196,48 +192,22 @@ def log_grid(k_min: float, k_max: float, n: int) -> list[float]:
     return [k_min * ratio**i for i in range(n - 1)] + [k_max]
 
 
-def unwrap_sweep(bg: SolitonBackground, ks, branch: str | tuple[str, ...] = "positive"):
-    """Compute ScatteringData over a k-grid on one energy branch, or on each of a
-    tuple of them, with continuously unwrapped delta: every branch's requested
-    grid is one batch, and so are the midpoints of each refinement pass.
+def sweep(bg: SolitonBackground, ks, branch: str | tuple[str, ...] = "positive"):
+    """ScatteringData over a k-grid on one energy branch, or on each of a tuple
+    of them, as one batched match; delta is data.delta = -arg c1.
 
-    The phase branch is anchored at the largest k (where delta is nearest 0, the
-    Levinson reference) and propagated downward by nearest-branch selection.
-    Where adjacent raw phases still jump by >= pi/2 the grid is refined (the
-    extra samples steer the unwrapping but are dropped from the output).
-
-    Returns (requested_ks, unwrapped_deltas, data): requested_ks sorted and
-    distinct, and data the one batched ScatteringData of the requested grid,
-    its arrays aligned with requested_ks.  For a tuple of branches the deltas
-    are one list per branch, and data holds their rows branch after branch.
+    Returns (ks, data): ks sorted and distinct, and data the batch's arrays,
+    aligned with ks, the rows of a tuple of branches branch after branch.
+    Raises KinkDiracError where |delta| exceeds DELTA_BOUND.
     """
     branches = (branch,) if isinstance(branch, str) else tuple(branch)
-
-    def match(points: list[tuple[int, float]]) -> ScatteringData:  # (branch index, k), sorted
-        index, k = np.array(points).T
-        E = np.concatenate([SpectralPoint.scattering(bg, k[index == i], b).E
-                            for i, b in enumerate(branches)])
-        return _match(bg, SpectralPoint(E=E, k=k), 0.0)
-
-    requested = sorted(set(float(k) for k in ks))
-    grid = [(i, k) for i in range(len(branches)) for k in requested]
-    data = match(grid)
-    raw = dict(zip(grid, data.delta.tolist()))
-    budget = MAX_REFINE
-    while budget > 0:
-        # Each pass matches the midpoints of every gap whose phase still jumps.
-        mids = [(i, math.sqrt(a * b)) for (i, a), (j, b) in zip(grid, grid[1:]) if i == j
-                and abs(_wrap(raw[j, b] - raw[i, a])) >= math.pi / 2 and b - a > 1e-12 * b]
-        mids = [m for m in mids if m not in raw][:budget]
-        if not mids:
-            break
-        raw.update(zip(mids, match(mids).delta.tolist()))
-        grid = sorted(grid + mids)
-        budget -= len(mids)
-    # Anchor each branch at its largest k, propagate the branch downward.
-    unwrapped = {}
-    for p, above in zip(grid[::-1], [None] + grid[:0:-1]):
-        ref = unwrapped[above] if above and above[0] == p[0] else raw[p]
-        unwrapped[p] = raw[p] + 2.0 * math.pi * round((ref - raw[p]) / (2.0 * math.pi))
-    deltas = [[unwrapped[i, k] for k in requested] for i in range(len(branches))]
-    return requested, deltas[0] if isinstance(branch, str) else deltas, data
+    ks = sorted(set(float(k) for k in ks))
+    k = np.tile(ks, len(branches))
+    E = np.concatenate([SpectralPoint.scattering(bg, np.array(ks), b).E for b in branches])
+    data = _match(bg, SpectralPoint(E=E, k=k), 0.0)
+    ok = abs(data.delta) <= DELTA_BOUND
+    if not ok.all():
+        delta, k_bad = _first_failure(ok, data.delta, k)
+        raise KinkDiracError(f"sweep: |delta| = {abs(delta):.3g} exceeds 3 pi/4 at "
+                             f"k/M = {k_bad / bg.M:.6g} (M = {bg.M}); the match lost c1's phase")
+    return ks, data

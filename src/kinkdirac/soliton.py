@@ -146,11 +146,6 @@ def kink_profile(bg: SolitonBackground, x: float) -> float:
     return -(2.0 / bg.beta) * arc
 
 
-def topological_charge(bg: SolitonBackground) -> float:
-    """(beta / 2 pi) (phi(+inf) - phi(-inf)): -1/2 for the kink, +1/2 for the antikink."""
-    return (bg.beta / (2.0 * math.pi)) * (kink_profile(bg, 1e6 / bg.M) - kink_profile(bg, -1e6 / bg.M))
-
-
 # ---------------------------------------------------------------------------
 # Coordinate maps (stable in both tails)
 # ---------------------------------------------------------------------------

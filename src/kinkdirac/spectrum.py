@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, KinkDiracError
 from .heun import _first_failure, _xp
-from .scattering import log_grid, unwrap_sweep, wronskian
+from .scattering import log_grid, sweep, wronskian
 from .soliton import (Family, SolitonBackground, SpectralPoint, build_solution, eval_u,
                       eval_u_at_origin)
 
@@ -111,12 +111,12 @@ def c1_bound_indicator(bg: SolitonBackground, E: float) -> complex:
     return c1
 
 
-def find_bound_states(bg: SolitonBackground, tol_root: float | None = None) -> list[BoundState]:
+def find_bound_states(bg: SolitonBackground, tol_root: float = 1e-6) -> list[BoundState]:
     """Bound levels as the roots of c1 on (-M, M): the real roots, by the colleague
     matrix (Boyd, SIAM J. Numer. Anal. 40, 1666, 2002), of the real indicator's
     interpolant at CHEB_NODES Chebyshev nodes in theta, one batch; its trailing
-    coefficients certify the root count.  A root is kept when |c1| there is at
-    most tol_root (default 1e-6) times the median |c1| over the nodes.  The
+    coefficients certify the root count.  A root where |c1| exceeds tol_root
+    times the median |c1| over the nodes raises KinkDiracError.  The
     antikink's levels are the kink's with E_n -> -E_n, in ascending order.
     """
     from numpy.polynomial.chebyshev import chebroots  # here: it costs import time
@@ -137,12 +137,15 @@ def find_bound_states(bg: SolitonBackground, tol_root: float | None = None) -> l
     # Real roots; the complex ones keep at least 0.2 from the real axis.
     levels = [M * math.cos(0.5 * math.pi * (1.0 + t.real)) for t in chebroots(coeffs)
               if abs(t.imag) <= 1e-8 and abs(t.real) < 1.0]
-    median, accept = float(np.median(abs(c1))), 1e-6 if tol_root is None else tol_root
+    median = float(np.median(abs(c1)))
     out: list[BoundState] = []
     for E_n in sorted(sign * E for E in levels if abs(E) < M * (1.0 - EDGE_MARGIN)):
         residual = abs(c1_bound_indicator(kink, sign * E_n)) / median
-        if residual <= accept:
-            out.append(BoundState(E_n, math.sqrt(M * M - E_n * E_n), residual, len(out)))
+        if not residual <= tol_root:
+            raise KinkDiracError(f"find_bound_states: at the root E = {E_n!r} (M = {M}) |c1| "
+                                 f"is {residual:.3g} of its median over the nodes, above "
+                                 f"{tol_root:.3g}")
+        out.append(BoundState(E_n, math.sqrt(M * M - E_n * E_n), residual, len(out)))
     return out
 
 
@@ -161,9 +164,9 @@ def levinson_check(
     M = bg.M
     if not (0 < k_min < LEVINSON_K_TOP * M):
         raise ValueError(f"need 0 < k_min < {LEVINSON_K_TOP:g} M")
-    grid, deltas, _ = unwrap_sweep(bg, log_grid(k_min, LEVINSON_K_TOP * M, samples)
-                                   + [2.0 * k_min, 4.0 * k_min], ("positive", "negative"))
-    d = np.array(deltas)
+    grid, data = sweep(bg, log_grid(k_min, LEVINSON_K_TOP * M, samples)
+                       + [2.0 * k_min, 4.0 * k_min], ("positive", "negative"))
+    d = data.delta.reshape(2, -1)
     d1, d2, d4 = (d[:, grid.index(k)] for k in (k_min, 2.0 * k_min, 4.0 * k_min))
     delta0 = (8.0 * d1 - 6.0 * d2 + d4) / 3.0  # delta0 + a k + b k^2 at {k, 2k, 4k}
     u = M / np.array(grid[-4:])[:, None]

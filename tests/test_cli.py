@@ -2,9 +2,11 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ import kinkdirac
 from kinkdirac import cli
 from kinkdirac.cli import _csv_line, _fmt, build_parser, main
 from kinkdirac.oracle import integrate_heun, residuals
-from kinkdirac.scattering import match_coefficients, unwrap_sweep
+from kinkdirac.scattering import match_coefficients, sweep
 from kinkdirac.soliton import SolitonBackground, SpectralPoint, eval_u
 
 
@@ -414,8 +416,8 @@ def test_validate_unitarity_sweeps_the_requested_branch(tmp_path):
         _, payload = run_json(["validate", "--M", "5", "--K-sign", sign,
                                "--E-branch", "negative"], tmp_path)
         value = next(c["value"] for c in payload["checks"] if c["name"] == "unitarity")
-        _, _, data = unwrap_sweep(SolitonBackground(M=5.0, K=K),
-                                  [f * 5.0 for f in (0.1, 0.2, 0.5, 1.0, 2.0)], "negative")
+        _, data = sweep(SolitonBackground(M=5.0, K=K),
+                        [f * 5.0 for f in (0.1, 0.2, 0.5, 1.0, 2.0)], "negative")
         assert value == max(abs(data.T + data.R - 1.0))
 
 
@@ -427,6 +429,53 @@ def test_validate_detects_injected_failure(tmp_path):
     )
     assert code == 1
     assert any(not c["passed"] for c in payload["checks"])
+
+
+FAULT = 1.0 + 1e-4  # a relative error above every validate bound
+# For each validate check: the cli binding it reads, and a fault in that
+# binding's result (given the result and the call's arguments).
+_VALIDATE_FAULTS = {
+    "series_vs_ode": ("heun_series", lambda out, *args: (out[0] * FAULT, out[1])),
+    "continuation_vs_ode": ("heun_eval", lambda out, *args: (out[0] * FAULT, out[1])),
+    "oracle_c1": ("oracle_scattering", lambda out, *args: (out[0] * FAULT, out[1])),
+    "oracle_c2": ("oracle_scattering", lambda out, *args: (out[0], out[1] * FAULT)),
+    "unitarity": ("sweep", lambda out, *args: (out[0], dataclasses.replace(
+        out[1], t=out[1].t * FAULT))),
+    "matching_invariance": ("match_coefficients", lambda d, bg, sp, x0=0.0: dataclasses.replace(
+        d, c1=d.c1 * FAULT) if isinstance(x0, np.ndarray) else d),
+    "governing_residuals": ("matched_u", lambda out, *args: (out[0], out[1] * FAULT)),
+}
+
+
+@pytest.mark.parametrize("check", list(_VALIDATE_FAULTS))
+def test_each_validate_check_fails_on_its_fault(check, tmp_path, monkeypatch):
+    # A 1e-4 relative fault in what one check compares flips that check, and
+    # only it, red; the list is every check validate prints.
+    attr, fault = _VALIDATE_FAULTS[check]
+    fn = getattr(cli, attr)
+    monkeypatch.setattr(cli, attr, lambda *args: fault(fn(*args), *args))
+    code, payload = run_json(["validate", "--M", "5"], tmp_path)
+    assert [c["name"] for c in payload["checks"]] == list(_VALIDATE_FAULTS)
+    assert code == 1 and [c["name"] for c in payload["checks"] if not c["passed"]] == [check]
+
+
+def test_governing_residuals_resolve_large_k(tmp_path):
+    # The residual grid keeps k h <= 1/4, so at k = 20 M the 9-point stencil
+    # resolves the trace (2.99e-8; 7.1e-6 on a fixed 401 points).  Only the
+    # real-axis oracle's c2 fails there: it cannot resolve the weak reflection.
+    code, payload = run_json(["validate", "--M", "1", "--k", "20"], tmp_path)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert code == 1 and [n for n, c in checks.items() if not c["passed"]] == ["oracle_c2"]
+    assert checks["governing_residuals"]["value"] <= 1e-7
+
+
+def test_governing_residuals_fail_at_tiny_k(tmp_path):
+    # At k = 1e-5 M the incident-side sum c1 u2 + c2 u2b cancels about 5
+    # digits; the finite-difference residual sees that loss (1.2e-5), and so
+    # should the check.
+    code, payload = run_json(["validate", "--M", "1", "--k", "1e-5"], tmp_path)
+    failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+    assert code == 1 and failed == ["governing_residuals"]
 
 
 def test_validate_json_schema(tmp_path):
@@ -494,7 +543,7 @@ def test_unknown_command_exits_2():
 
 
 @pytest.mark.parametrize("command,flag", [
-    ("bound-states", "--tol-root"), ("validate", "--tol-series"),
+    ("bound-states", "--tol-root"), ("validate", "--tol-continuation"),
     ("phase-sweep", "--k-min"), ("phase-sweep", "--k-max"),
 ])
 def test_nan_parameter_exits_2(command, flag, capsys):
@@ -535,6 +584,15 @@ def test_non_positive_mass_is_a_usage_error(value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"--M must be positive, got {float(value)}" in err and "k_min" not in err
+
+
+def test_bound_root_above_tol_root_exits_3(tmp_path, capsys):
+    # A certified root whose |c1| misses --tol-root is a numerical failure
+    # naming E and M, not a level dropped from the output.
+    assert main(["bound-states", "--M", "5", "--tol-root", "1e-20", "--out",
+                 str(tmp_path / "b.csv")]) == 3
+    assert re.search(r"find_bound_states: at the root E = \S+ \(M = 5\.0\)",
+                     capsys.readouterr().err)
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

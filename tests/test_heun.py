@@ -386,6 +386,22 @@ def test_one_point_eval_u_equals_the_x_batch(M):
 
 
 @pytest.mark.parametrize("M", [1.0, 5.0])
+def test_x_batch_through_targets_tied_in_abs_z(M):
+    # Within about 1e-8 of z = 1 (here x <= -9.5/M) |z| rounds to 1.0.  The
+    # chain still orders those targets toward z = 1, by |1 - z|, so it never
+    # runs out and back, and each target is its one-point value.
+    bg = SolitonBackground(M=M, K=M)
+    sol = build_solution(Family.U1_FIRST, bg, SpectralPoint.scattering(bg, 0.05 * M))
+    xs = np.linspace(-10.0, 10.0, 41) / M
+    assert abs(map_to_z(sol.family, bg, xs[:2])).tolist() == [1.0, 1.0]
+    u, du = eval_u(sol, xs)
+    for i, x in enumerate(xs.tolist()):
+        u_x, du_x = eval_u(sol, x)
+        scale = max(abs(u_x), abs(du_x))
+        assert abs(u[i] - u_x) <= 1e-10 * scale and abs(du[i] - du_x) <= 1e-10 * scale, x
+
+
+@pytest.mark.parametrize("M", [1.0, 5.0])
 def test_one_point_zero_mode_in_closed_form(M):
     # u1_first at E = 0 is the zero mode u0 = sqrt(sech 2Mx) e^{i arctan e^{2Mx}}
     # up to a constant (test_spectrum), also one x at a time: on x < 0 its
@@ -533,13 +549,12 @@ def test_compacted_batch_equals_each_element_alone(M, monkeypatch):
     # batch is the one a sweep of the default 64 momenta, k/M in [1e-3, 50],
     # on both energy branches evaluates.
     from kinkdirac import soliton
-    from kinkdirac.scattering import log_grid, unwrap_sweep
+    from kinkdirac.scattering import log_grid, sweep
 
     calls = []
     monkeypatch.setattr(soliton, "heun_eval", lambda params, z: calls.append((params, z)) or
                         heun_eval(params, z))
-    unwrap_sweep(SolitonBackground(M=M, K=M), log_grid(1e-3 * M, 50.0 * M, 64),
-                 ("positive", "negative"))
+    sweep(SolitonBackground(M=M, K=M), log_grid(1e-3 * M, 50.0 * M, 64), ("positive", "negative"))
     [(params, z)] = calls
     assert params.q.shape == (2 * 2 * 64,)
     masks, flatnonzero = [], np.flatnonzero

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kinkdirac.errors import DegenerateBasisError, KinkDiracError
-from kinkdirac.scattering import match_coefficients, matched_u, unwrap_sweep, wronskian
+from kinkdirac.scattering import match_coefficients, matched_u, sweep, wronskian
 from kinkdirac.soliton import (
     Family,
     SolitonBackground,
@@ -222,80 +222,66 @@ def test_matched_u_continuous_at_nonzero_matching_point(K):
 # ---------------------------------------------------------------------------
 
 
-def test_unwrap_sweep_is_continuous(bg5):
+def test_sweep_is_continuous(bg5):
     ks = np.geomspace(0.05, 50.0, 40)
-    _, deltas, _ = unwrap_sweep(bg5, ks)
-    jumps = np.abs(np.diff(deltas))
+    _, data = sweep(bg5, ks)
+    jumps = np.abs(np.diff(data.delta))
     assert jumps.max() < math.pi / 2
 
 
-def test_unwrap_sweep_monotone_decreasing(bg5):
+def test_sweep_monotone_decreasing(bg5):
     ks = np.geomspace(0.05, 50.0, 40)
-    _, deltas, _ = unwrap_sweep(bg5, ks)
+    _, data = sweep(bg5, ks)
+    deltas = data.delta.tolist()
     assert all(b < a + 1e-12 for a, b in zip(deltas, deltas[1:]))
 
 
-def test_unwrap_sweep_high_k_limit(bg5):
+def test_sweep_high_k_limit(bg5):
     ks = np.geomspace(0.05, 200.0, 48)
-    _, deltas, _ = unwrap_sweep(bg5, ks)
-    # Phase shift vanishes at high momentum (branch is anchored there).
-    assert abs(deltas[-1]) < 0.05
-
-
-def test_unwrap_sweep_refines_in_batched_passes(bg5, monkeypatch):
-    # The kink's phase never jumps by pi/2 between grid points, so the jump
-    # test is made four times stricter: gaps with a phase change of pi/8 or
-    # more are bisected.  Each pass matches all its midpoints as one batch,
-    # the requested rows keep their values, and MAX_REFINE caps the extra
-    # momenta.
-    from kinkdirac import scattering
-
-    ks = [0.025, 2.5, 250.0]
-    _, plain, _ = unwrap_sweep(bg5, ks)
-    batches = []
-    match = scattering._match
-    monkeypatch.setattr(scattering, "_match",
-                        lambda bg, sp, x0: batches.append(sp.k.size) or match(bg, sp, x0))
-    monkeypatch.setattr(scattering, "_wrap", lambda angle: 4.0 * angle)
-    grid, refined, _ = unwrap_sweep(bg5, ks)
-    assert grid == ks and refined == plain
-    assert batches[0] == 3 and len(batches) >= 3
-    batches.clear()
-    monkeypatch.setattr(scattering, "MAX_REFINE", 3)
-    unwrap_sweep(bg5, ks)
-    assert batches[0] == 3 and sum(batches[1:]) == 3
+    _, data = sweep(bg5, ks)
+    # The phase shift vanishes at high momentum.
+    assert abs(data.delta[-1]) < 0.05
 
 
 @pytest.mark.parametrize("K", [5.0, -5.0])
-def test_both_branch_sweep_equals_one_branch_sweeps(K, monkeypatch):
-    # With a tuple of branches, one batch holds every branch's rows, branch
-    # after branch, each row bit for bit the row of its one-branch sweep.  A
-    # refinement pass (forced by a four times stricter jump test) matches the
-    # midpoints of both branches as one batch, and each branch keeps the
-    # deltas of its one-branch sweep.
+def test_sweep_rejects_a_phase_beyond_three_quarters_pi(K, monkeypatch):
+    # Levinson's theorem keeps |delta| <= pi/2 on both branches; a match that
+    # returns delta = pi somewhere has lost c1's phase, and the sweep names
+    # the stage and the first such k/M.
+    import dataclasses
+
     from kinkdirac import scattering
+
+    bg = SolitonBackground(M=5.0, K=K)
+    match = scattering._match
+
+    def at_pi(bg, sp, x0):
+        data = match(bg, sp, x0)
+        return dataclasses.replace(data, delta=np.where(sp.k.real > 10.0, math.pi, data.delta))
+
+    monkeypatch.setattr(scattering, "_match", at_pi)
+    with pytest.raises(KinkDiracError, match=r"^sweep: \|delta\| = 3\.14 exceeds 3 pi/4 at "
+                                             r"k/M = 4 \(M = 5\.0\)"):
+        sweep(bg, [1.0, 20.0, 5.0, 40.0])
+    assert sweep(bg, [1.0, 5.0, 10.0])[0] == [1.0, 5.0, 10.0]
+
+
+@pytest.mark.parametrize("K", [5.0, -5.0])
+def test_both_branch_sweep_equals_one_branch_sweeps(K):
+    # With a tuple of branches, one batch holds every branch's rows, branch
+    # after branch, each row bit for bit the row of its one-branch sweep.
     from kinkdirac.scattering import log_grid
 
     bg = SolitonBackground(M=5.0, K=K)
     ks = log_grid(5e-3, 100.0, 48) + [1e-2, 2e-2]
     branches = ("positive", "negative")
-    grid, deltas, data = unwrap_sweep(bg, ks, branches)
+    grid, data = sweep(bg, ks, branches)
     n = len(grid)
     for i, branch in enumerate(branches):
-        one_grid, one_deltas, one = unwrap_sweep(bg, ks, branch)
-        assert one_grid == grid and one_deltas == deltas[i]
+        one_grid, one = sweep(bg, ks, branch)
+        assert one_grid == grid
         for name in ("c1", "c2", "t", "r", "delta"):
             assert np.array_equal(getattr(data, name)[i * n:(i + 1) * n], getattr(one, name)), name
-    batches = []
-    match = scattering._match
-    monkeypatch.setattr(scattering, "_match", lambda bg, sp, x0: batches.append(sp.E) or match(
-        bg, sp, x0))
-    monkeypatch.setattr(scattering, "_wrap", lambda angle: 4.0 * angle)
-    sparse = [0.1, 3.0, 100.0]
-    _, refined, _ = unwrap_sweep(bg.kink, sparse, branches)
-    passes = list(batches)
-    assert refined == [unwrap_sweep(bg.kink, sparse, b)[1] for b in branches]
-    assert len(passes) >= 2 and all(np.any(E > 0) and np.any(E < 0) for E in passes)
 
 
 @pytest.mark.parametrize("K", [5.0, -5.0])
@@ -311,7 +297,7 @@ def test_sweep_builds_no_per_row_objects(K, monkeypatch):
     counts = []
     for n in (16, 256):
         built.clear()
-        ks, _, data = unwrap_sweep(bg, np.geomspace(5e-3, 250.0, n))
+        ks, data = sweep(bg, np.geomspace(5e-3, 250.0, n))
         assert len(ks) == data.c1.size == n
         counts.append(len(built))
     assert counts[0] == counts[1]

@@ -21,7 +21,6 @@ from kinkdirac.soliton import (
     log_z,
     map_to_z,
     ratio_squared,
-    topological_charge,
     v_from_u,
 )
 
@@ -43,13 +42,6 @@ def test_profile_limits_and_monotonicity():
     xs = np.linspace(-3, 3, 101)
     phis = [kink_profile(bg, x) for x in xs]
     assert all(b < a for a, b in zip(phis, phis[1:]))
-
-
-def test_topological_charges_are_half_integral():
-    kink = SolitonBackground(M=1.5, K=1.5, beta=1.0)
-    anti = SolitonBackground(M=1.5, K=-1.5, beta=1.0)
-    assert topological_charge(kink) == pytest.approx(-0.5, abs=1e-12)
-    assert topological_charge(anti) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_background_validation():

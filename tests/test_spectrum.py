@@ -60,6 +60,16 @@ def test_bound_state_residuals_small(bg5):
         assert s.kappa == pytest.approx(math.sqrt(bg5.M**2 - s.E_n**2), rel=1e-9)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_root_above_tol_root_is_an_error(sign):
+    # A certified root is never dropped for its residual: where |c1| there
+    # misses tol_root, find_bound_states raises, naming E and M.
+    bg = SolitonBackground(M=5.0, K=sign * 5.0)
+    with pytest.raises(KinkDiracError, match=r"^find_bound_states: at the root E = \S+ "
+                                             r"\(M = 5\.0\) \|c1\| is .* above 1e-20$"):
+        find_bound_states(bg, tol_root=1e-20)
+
+
 def test_massive_bound_state_decays(bg5):
     E = E_MASSIVE_OVER_M * bg5.M
     sp = SpectralPoint.bound(bg5, E)
