@@ -28,8 +28,8 @@ import numpy as np
 from .errors import KinkDiracError
 from .heun import heun_eval, heun_series
 from .oracle import integrate_heun, oracle_scattering, residuals
-from .scattering import conjugate_spinor, log_grid, match_coefficients, matched_u, sweep
-from .soliton import SolitonBackground, SpectralPoint, eval_u, kink_profile, v_from_u
+from .scattering import log_grid, match_coefficients, matched_u, sweep, trace
+from .soliton import SolitonBackground, SpectralPoint, kink_profile
 from .spectrum import LEVINSON_K_TOP, find_bound_states, levinson_check
 
 
@@ -140,31 +140,8 @@ def cmd_profile(cfg: RunConfig) -> int:
 
 
 def cmd_scatter(cfg: RunConfig) -> int:
-    bg = cfg.background
-    data = match_coefficients(bg, SpectralPoint.scattering(bg, cfg.k, cfg.E_branch))
-    # An antikink row is the charge-conjugate image of the kink row at -x.
-    kink = data.kink or data
-    sol1, sol2, sol2b = kink.basis
-    bg_k, sp = sol1.background, sol1.spectral
-    x_max, n = 10.0 / (2.0 * bg.M), cfg.samples
-    # Incident/reflected side first (the kink's x < 0), sampling x = 0 from
-    # both sides ("or 0.0" turns -0.0 into 0.0), one batch per local solution.
-    x_inc = np.array([-x_max * (1.0 - i / (n - 1)) or 0.0 for i in range(n)])
-    x_tr = np.array([x_max * i / (n - 1) for i in range(n)])
-    (ua, dua), (ub, dub), (u1, du1) = eval_u(sol2, x_inc), eval_u(sol2b, x_inc), eval_u(sol1, x_tr)
-    u_inc, du_inc, u_ref, du_ref = kink.c1 * ua, kink.c1 * dua, kink.c2 * ub, kink.c2 * dub
-    x = np.concatenate([x_inc, x_tr])
-    u = np.concatenate([(u_inc + u_ref)[:-1], u1[:1], u1])  # x = 0 is u1's side of the match
-    v = v_from_u(u, np.concatenate([(du_inc + du_ref)[:-1], du1[:1], du1]), bg_k, sp, x)
-    nan = np.full(n, complex(math.nan, math.nan))
-    v_inc, v_ref = (np.concatenate([v_from_u(w, dw, bg_k, sp, x_inc), nan])
-                    for w, dw in ((u_inc, du_inc), (u_ref, du_ref)))
-    u_inc, u_ref = np.concatenate([u_inc, nan]), np.concatenate([u_ref, nan])
-    if kink is not data:
-        x = -x + 0.0  # + 0.0 turns -0.0 into 0.0
-        (u, v), (u_inc, v_inc), (u_ref, v_ref) = conjugate_spinor(
-            kink, (u, v), (u_inc, v_inc), (u_ref, v_ref))
-    waves = {"u": u, "v": v, "u_inc": u_inc, "u_ref": u_ref, "v_inc": v_inc, "v_ref": v_ref}
+    bg, n = cfg.background, cfg.samples
+    x, waves = trace(match_coefficients(bg, SpectralPoint.scattering(bg, cfg.k, cfg.E_branch)), n)
     columns = ["x", "side"] + [f"{part}_{name}" for name in waves for part in ("re", "im")]
     cells = [x.tolist(), ["incident"] * n + ["transmitted"] * n]
     cells += [part.tolist() for w in waves.values() for part in (w.real, w.imag)]
@@ -239,9 +216,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     c1o, c2o = oracle_scattering(bg, sp)
     add("oracle_c1", abs(data.c1 - c1o) / abs(c1o), 1e-6)
     add("oracle_c2", abs(data.c2 - c2o) / abs(c2o), 1e-6)
-    # Unitarity across a small sweep on the requested branch.
+    # Unitarity at --k and across a small sweep on the requested branch.
     _, swept = sweep(bg, [frac * bg.M for frac in (0.1, 0.2, 0.5, 1.0, 2.0)], cfg.E_branch)
-    add("unitarity", max(abs(swept.T + swept.R - 1.0).tolist()), 1e-6)
+    add("unitarity", max(abs(swept.T + swept.R - 1.0).tolist() + [abs(data.T + data.R - 1.0)]), 1e-6)
     # Matching-point invariance: four more points, as one batch, against x0 = 0.
     c1s = match_coefficients(bg, sp, np.array([-0.2, -0.1, 0.1, 0.2]) / bg.M).c1
     add("matching_invariance", float(np.max(abs(c1s - data.c1))) / abs(data.c1), 1e-6)
@@ -250,8 +227,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     half_x = 10.0 / (2.0 * bg.M)
     n_pts = 1 + max(400, math.ceil(40.0 * cfg.k / bg.M))
     xs = np.array([-half_x + 2.0 * half_x * i / (n_pts - 1) for i in range(n_pts)])
-    us, dus = matched_u(data, xs)
-    rep = residuals(xs, us, v_from_u(us, dus, bg, sp, xs), bg, sp)
+    us, vs = matched_u(data, xs)
+    rep = residuals(xs, us, vs, bg, sp)
     add("governing_residuals", rep.max_rel_residual, 1e-6)
 
     # The check entries are the records (CSV rows), mirrored in the JSON

@@ -253,7 +253,7 @@ def residuals(x, u, v, bg: SolitonBackground, sp: SpectralPoint) -> ResidualRepo
     du = _fd(u, h, _D1, 1)
     ddu = _fd(u, h, _D2, 2)
     dv = _fd(v, h, _D1, 1)
-    phase = -ratio_squared(bg, xi)  # e^{2 i beta phi}
+    phase = -ratio_squared(K * xi)  # e^{2 i beta phi}: the kink's at Kx, K = +-M
     sech = np.array([_sech(2.0 * K * xx) for xx in xi])
 
     res1 = -E * ui + 1j * du + 1j * M * vi / phase

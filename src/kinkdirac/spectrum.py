@@ -1,22 +1,23 @@
 """Bound states and Levinson's theorem.
 
-Bound energies are the real zeros of c1(E, i kappa) with kappa = sqrt(M^2-E^2):
-at a zero the transmitted-frame solution loses its growing component on the
-incident side and decays in both tails.  Two identities make them the roots
-of one real function of E:
+Bound energies are the real zeros of c1(E, i kappa), in units of M with
+kappa = sqrt(1 - E^2): at a zero the transmitted-frame solution loses its
+growing component on the incident side and decays in both tails.  Two
+identities make them the roots of one real function of E:
 
 - Abel's identity fixes the matching denominator in closed form,
-  W(u2_first, u2_second)|_{x=0} = 2ik e^{-pi k/K}, so c1 needs only u1_first
+  W(u2_first, u2_second)|_{y=0} = 2ik e^{-pi k}, so c1 needs only u1_first
   and u2_second.  u2_first, the only factor that degenerates at E = 0 (its
   gamma is 0 there), is never built.
-- c1(E) = e^{i pi (kappa/2M - 1)} f(E) with f real, and with E = M cos theta
+- c1(E) = e^{i pi (kappa/2 - 1)} f(E) with f real, and with E = cos theta
   sin theta f(E) is analytic on [0, pi]: one Chebyshev interpolant in theta.
 
-Levinson's theorem on each energy branch ties the threshold phase jump to the
-count n_+ (n_-) of levels with E_n > 0 (E_n < 0), the zero mode at E = 0 in
-neither: delta_+-(0) - delta_+-(inf) = +-pi (n_+- - 1/2).  delta(inf) is fitted
-to a sweep's top, up to LEVINSON_K_TOP = 20 M, as delta_inf + b2 u^2 + b3 u^3 +
-b4 u^4 with u = M/k: both sum rules hold to 5.1e-6.
+find_bound_states scales the kink's levels by M and, for the antikink, flips
+their sign.  Levinson's theorem on each energy branch ties the threshold
+phase jump to the count n_+ (n_-) of levels with E_n > 0 (E_n < 0), the zero
+mode in neither: delta_+-(0) - delta_+-(inf) = +-pi (n_+- - 1/2).  delta(inf)
+is fitted to a sweep's top, up to LEVINSON_K_TOP = 20 M, as delta_inf +
+b2 u^2 + b3 u^3 + b4 u^4 with u = M/k: both sum rules hold to 5.1e-6.
 """
 
 from __future__ import annotations
@@ -74,39 +75,39 @@ class LevinsonReport:
     n_minus: int
 
 
-def _real_phase(bg: SolitonBackground, E: float) -> complex:
-    """e^{-i pi (kappa/2M - 1)}: turns c1 at energy E into a real number."""
-    kappa = _xp(E).sqrt(bg.M * bg.M - E * E)
-    return _xp(E).exp(-1j * math.pi * (kappa / (2.0 * bg.M) - 1.0))
+def _real_phase(E: float) -> complex:
+    """e^{-i pi (kappa/2 - 1)}, kappa = sqrt(1 - E^2): turns c1 at energy E (in
+    units of M) into a real number."""
+    kappa = _xp(E).sqrt(1.0 - E * E)
+    return _xp(E).exp(-1j * math.pi * (kappa / 2.0 - 1.0))
 
 
-def c1_bound_indicator(bg: SolitonBackground, E: float) -> complex:
-    """c1 of the kink on the bound continuation k = i sqrt(M^2 - E^2), at each E.
+def c1_bound_indicator(E: float) -> complex:
+    """c1 of the kink on the bound continuation k = i sqrt(1 - E^2), at each E,
+    in units of M.
 
-    c1 = W(u1_first, u2_second) / (2ik e^{-pi k/K}) at x0 = 0; an array of E
+    c1 = W(u1_first, u2_second) / (2ik e^{-pi k}) at y0 = 0; an array of E
     evaluates both solutions as one Heun batch (eval_u_at_origin).  Raises
-    KinkDiracError when c1 is not e^{i pi (kappa/2M - 1)} times a real number
+    KinkDiracError when c1 is not e^{i pi (kappa/2 - 1)} times a real number
     to IMAG_TOL of the Wronskian term scale.
     """
-    bg.check_kink("c1_bound_indicator")
-    xp, ok = _xp(E), abs(E) < bg.M * (1.0 - EDGE_MARGIN)
+    xp, ok = _xp(E), abs(E) < 1.0 - EDGE_MARGIN
     if not xp.all(ok):
         E = _first_failure(ok, E)[0]
-        raise DomainError(f"|E| = {abs(E)} too close to the continuum edge M = {bg.M} (kappa -> 0)")
-    sp = SpectralPoint.bound(bg, E)
-    sols = build_solution(Family.U1_FIRST, bg, sp), build_solution(Family.U2_SECOND, bg, sp)
+        raise DomainError(f"|E/M| = {abs(E)} too close to the continuum edge 1 (kappa -> 0)")
+    sp = SpectralPoint.bound(E)
+    sols = build_solution(Family.U1_FIRST, sp), build_solution(Family.U2_SECOND, sp)
     batch = isinstance(sp.k, np.ndarray)
     p1, p2b = eval_u_at_origin(*sols) if batch else (eval_u(sol, 0.0) for sol in sols)
-    w_den = 2j * sp.k * xp.exp(-math.pi * sp.k / bg.K)
+    w_den = 2j * sp.k * xp.exp(-math.pi * sp.k)
     c1 = wronskian(p1, p2b) / w_den
     scale = (abs(p1[0]) * abs(p2b[1]) + abs(p2b[0]) * abs(p1[1])) / abs(w_den)
-    ratio = abs((c1 * _real_phase(bg, E)).imag) / scale
+    ratio = abs((c1 * _real_phase(E)).imag) / scale
     if not xp.all(ratio <= IMAG_TOL):
         E, ratio = _first_failure(ratio <= IMAG_TOL, E, ratio)
         raise KinkDiracError(
-            f"c1_bound_indicator: at E = {E!r} (M = {bg.M}, K = {bg.K}) the imaginary "
-            f"part of the real indicator is {ratio:.3g} of the Wronskian term scale, "
-            f"above {IMAG_TOL:.0e}"
+            f"c1_bound_indicator: at E/M = {E!r} the imaginary part of the real "
+            f"indicator is {ratio:.3g} of the Wronskian term scale, above {IMAG_TOL:.0e}"
         )
     return c1
 
@@ -116,17 +117,18 @@ def find_bound_states(bg: SolitonBackground, tol_root: float = 1e-6) -> list[Bou
     matrix (Boyd, SIAM J. Numer. Anal. 40, 1666, 2002), of the real indicator's
     interpolant at CHEB_NODES Chebyshev nodes in theta, one batch; its trailing
     coefficients certify the root count.  A root where |c1| exceeds tol_root
-    times the median |c1| over the nodes raises KinkDiracError.  The
-    antikink's levels are the kink's with E_n -> -E_n, in ascending order.
+    times the median |c1| over the nodes raises KinkDiracError.  The kink is
+    solved in units of M; the antikink's levels are the kink's with
+    E_n -> -E_n, in ascending order.
     """
     from numpy.polynomial.chebyshev import chebroots  # here: it costs import time
 
-    M, kink, n, sign = bg.M, bg.kink, CHEB_NODES, math.copysign(1.0, bg.K)
+    M, n, sign = bg.M, CHEB_NODES, math.copysign(1.0, bg.K)
     angles = (np.arange(n) + 0.5) * math.pi / n
     theta = 0.5 * math.pi * (1.0 + np.cos(angles))  # first-kind nodes mapped to (0, pi)
-    Es = M * np.cos(theta)
-    c1 = c1_bound_indicator(kink, Es)
-    g = (np.sin(theta) * c1 * _real_phase(bg, Es)).real
+    Es = np.cos(theta)
+    c1 = c1_bound_indicator(Es)
+    g = (np.sin(theta) * c1 * _real_phase(Es)).real
     coeffs = np.cos(np.outer(np.arange(n), angles)) @ g * (2.0 / n)
     coeffs[0] *= 0.5
     tail = np.max(abs(coeffs[-2:])) / np.max(abs(coeffs))
@@ -135,17 +137,17 @@ def find_bound_states(bg: SolitonBackground, tol_root: float = 1e-6) -> list[Bou
                              f"{n}-node Chebyshev interpolant are {tail:.3g} of its largest, "
                              f"above {CHEB_TAIL_TOL:.0e}")
     # Real roots; the complex ones keep at least 0.2 from the real axis.
-    levels = [M * math.cos(0.5 * math.pi * (1.0 + t.real)) for t in chebroots(coeffs)
+    levels = [math.cos(0.5 * math.pi * (1.0 + t.real)) for t in chebroots(coeffs)
               if abs(t.imag) <= 1e-8 and abs(t.real) < 1.0]
     median = float(np.median(abs(c1)))
     out: list[BoundState] = []
-    for E_n in sorted(sign * E for E in levels if abs(E) < M * (1.0 - EDGE_MARGIN)):
-        residual = abs(c1_bound_indicator(kink, sign * E_n)) / median
+    for E_n in sorted(sign * E for E in levels if abs(E) < 1.0 - EDGE_MARGIN):
+        residual = abs(c1_bound_indicator(sign * E_n)) / median
         if not residual <= tol_root:
-            raise KinkDiracError(f"find_bound_states: at the root E = {E_n!r} (M = {M}) |c1| "
+            raise KinkDiracError(f"find_bound_states: at the root E = {M * E_n!r} (M = {M}) |c1| "
                                  f"is {residual:.3g} of its median over the nodes, above "
                                  f"{tol_root:.3g}")
-        out.append(BoundState(E_n, math.sqrt(M * M - E_n * E_n), residual, len(out)))
+        out.append(BoundState(M * E_n, M * math.sqrt(1.0 - E_n * E_n), residual, len(out)))
     return out
 
 

@@ -22,6 +22,12 @@ def sp25(bg5) -> SpectralPoint:
     return SpectralPoint.scattering(bg5, 2.5)
 
 
+@pytest.fixture(scope="session")
+def sp05() -> SpectralPoint:
+    """The reference point in units of M, as the core takes it: k/M = 1/2, E/M = +sqrt(5)/2."""
+    return SpectralPoint(E=math.sqrt(1.25), k=0.5)
+
+
 def rel(a, b) -> float:
     """Relative difference |a - b| / max(|a|, |b|)."""
     scale = max(abs(a), abs(b))

@@ -19,7 +19,7 @@ from kinkdirac.cli import main as cli_main
 from kinkdirac.heun import HeunParams, heun_eval, heun_series
 from kinkdirac.oracle import integrate_heun, oracle_scattering, residuals
 from kinkdirac.scattering import match_coefficients, matched_u
-from kinkdirac.soliton import SolitonBackground, SpectralPoint, v_from_u
+from kinkdirac.soliton import SolitonBackground, SpectralPoint
 from kinkdirac.spectrum import find_bound_states, levinson_check
 
 
@@ -103,22 +103,20 @@ def test_criterion_3_oracle_equivalence(bg5):
 def test_criterion_4_matching_smoothness_and_invariance(bg5, sp25):
     t0 = time.perf_counter()
     data = match_coefficients(bg5, sp25)
-    # Continuity of value and slope at x = 0 (matched by construction).
+    # Continuity of value and slope at x = 0 (matched by construction): v
+    # carries the slope, v = (i/M) ratio^2 (E u - i u').
     eps = 1e-12
-    uL, duL = matched_u(data, -eps)
-    uR, duR = matched_u(data, +eps)
-    vL = v_from_u(uL, duL, bg5, sp25, -eps)
-    vR = v_from_u(uR, duR, bg5, sp25, +eps)
-    cont = max(abs(uL - uR) / abs(uR), abs(duL - duR) / abs(duR),
-               abs(vL - vR) / abs(vR))
-    # Agreement on the overlap strip.
+    uL, vL = matched_u(data, -eps)
+    uR, vR = matched_u(data, +eps)
+    cont = max(abs(uL - uR) / abs(uR), abs(vL - vR) / abs(vR))
+    # Agreement on the overlap strip |x| <= 0.1, at y = Mx.
     overlap = 0.0
     from kinkdirac.soliton import eval_u
     sol1, sol2, sol2b = data.basis
-    for x in np.linspace(-0.1, 0.1, 11):
-        u1, _ = eval_u(sol1, x)
-        u2, _ = eval_u(sol2, x)
-        u2b, _ = eval_u(sol2b, x)
+    for y in np.linspace(-0.1, 0.1, 11) * bg5.M:
+        u1, _ = eval_u(sol1, y)
+        u2, _ = eval_u(sol2, y)
+        u2b, _ = eval_u(sol2b, y)
         overlap = max(overlap, abs(data.c1 * u2 + data.c2 * u2b - u1) / abs(u1))
     # Matching-point invariance.
     c1s = [match_coefficients(bg5, sp25, x0 / bg5.K).c1
@@ -136,10 +134,9 @@ def test_criterion_5_governing_residuals(bg5, sp25):
     data = match_coefficients(bg5, sp25)
     xs = np.linspace(-2.0, 2.0, 401)
     us = np.empty(401, dtype=complex)
-    dus = np.empty(401, dtype=complex)
+    vs = np.empty(401, dtype=complex)
     for i, x in enumerate(xs):
-        us[i], dus[i] = matched_u(data, x)
-    vs = [v_from_u(u, du, bg5, sp25, x) for u, du, x in zip(us, dus, xs)]
+        us[i], vs[i] = matched_u(data, x)
     report = residuals(xs, us, vs, bg5, sp25)
     elapsed = time.perf_counter() - t0
     ok = report.max_rel_residual <= 1e-6 and elapsed < 5.0

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import json
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +173,7 @@ def test_scatter_evaluates_each_local_solution_once_per_row(tmp_path, monkeypatc
     # 3 one-point calls for the match, then one batch per local solution: u2
     # and u2b over the 21 incident x, u1 over the 21 transmitted x (x = 0
     # included, which the incident side prints as well).
-    from kinkdirac import cli, scattering
+    from kinkdirac import scattering
 
     calls = []
 
@@ -179,7 +181,6 @@ def test_scatter_evaluates_each_local_solution_once_per_row(tmp_path, monkeypatc
         calls.append((sol.family.value, np.shape(x)))
         return eval_u(sol, x)
 
-    monkeypatch.setattr(cli, "eval_u", counting)
     monkeypatch.setattr(scattering, "eval_u", counting)
     code, rows, _, _ = run_csv(["scatter", "--M", "5", "--k", "2.5", "--samples", "21"], tmp_path)
     assert code == 0 and len(rows) == 42
@@ -290,8 +291,11 @@ def test_antikink_phase_sweep_is_the_mapped_kink(tmp_path, branch):
         c2 = complex(float(a["re_c2"]), float(a["im_c2"]))
         c1_k = complex(float(b["re_c1"]), float(b["im_c1"]))
         c2_k = complex(float(b["re_c2"]), float(b["im_c2"]))
-        mapped_c1 = math.exp(-math.pi * k / 5.0) * c1_k.conjugate()
-        mapped_c2 = math.exp(-2.0 * math.pi * k / 5.0) * (E + k) / (E - k) * c2_k.conjugate()
+        # In units of M, as the map is applied: (E + k)/(E - k) cancels digits
+        # as (k/M)^2, so the physical E and k would round differently.
+        e, kk = E / 5.0, k / 5.0
+        mapped_c1 = math.exp(-math.pi * kk) * c1_k.conjugate()
+        mapped_c2 = math.exp(-2.0 * math.pi * kk) * (e + kk) / (e - kk) * c2_k.conjugate()
         assert abs(c1 - mapped_c1) <= 1e-14 * abs(c1)
         assert abs(c2 - mapped_c2) <= 1e-14 * abs(c2)
 
@@ -410,15 +414,30 @@ def test_validate_integrates_the_heun_ode_once(tmp_path, monkeypatch):
 
 
 def test_validate_unitarity_sweeps_the_requested_branch(tmp_path):
-    # The unitarity check is the largest |T + R - 1| of the sweep matcher at
-    # k/M = 0.1, 0.2, 0.5, 1, 2 on the branch validate was given.
+    # The unitarity check is the largest |T + R - 1| of the match at --k and
+    # of the sweep matcher at k/M = 0.1, 0.2, 0.5, 1, 2 on the branch validate
+    # was given.
     for sign, K in (("kink", 5.0), ("antikink", -5.0)):
         _, payload = run_json(["validate", "--M", "5", "--K-sign", sign,
                                "--E-branch", "negative"], tmp_path)
         value = next(c["value"] for c in payload["checks"] if c["name"] == "unitarity")
-        _, data = sweep(SolitonBackground(M=5.0, K=K),
-                        [f * 5.0 for f in (0.1, 0.2, 0.5, 1.0, 2.0)], "negative")
-        assert value == max(abs(data.T + data.R - 1.0))
+        bg = SolitonBackground(M=5.0, K=K)
+        _, data = sweep(bg, [f * 5.0 for f in (0.1, 0.2, 0.5, 1.0, 2.0)], "negative")
+        at_k = match_coefficients(bg, SpectralPoint.scattering(bg, 2.5, "negative"))
+        assert value == max(abs(data.T + data.R - 1.0).tolist() + [abs(at_k.T + at_k.R - 1.0)])
+
+
+@pytest.mark.parametrize("k,passed", [("50", True), ("60", False)])
+def test_validate_unitarity_reads_k(k, passed, tmp_path, monkeypatch):
+    # |T + R - 1| at --k is 3.9e-12 at 50 M and 5.0e-5 at 60 M, where term
+    # growth has eaten the digits; the row says so, and every row is still
+    # printed.  (The oracle, 1 s a call up here, is stubbed out: it fails
+    # its own rows either way.)
+    monkeypatch.setattr(cli, "oracle_scattering", lambda bg, sp: (1.0, 1.0))
+    code, payload = run_json(["validate", "--M", "1", "--k", k], tmp_path)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert code == 1 and list(checks) == list(_VALIDATE_FAULTS)
+    assert checks["unitarity"]["passed"] is passed
 
 
 def test_validate_detects_injected_failure(tmp_path):
@@ -584,6 +603,49 @@ def test_non_positive_mass_is_a_usage_error(value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"--M must be positive, got {float(value)}" in err and "k_min" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound-states", "--M", "1e-300"],
+    ["bound-states", "--M", "1e300"],
+    ["scatter", "--M", "1e300", "--k", "1e300", "--samples", "21"],
+    ["phase-sweep", "--M", "1e-300", "--samples", "16"],
+    ["phase-sweep", "--M", "1e300", "--samples", "16"],
+])
+def test_extreme_mass_prints_the_unit_mass_output_rescaled(argv, tmp_path):
+    # M is a unit: at M = 1e+-300, where M^2 under- or overflows, a command
+    # prints the M = 1 output with x scaled by 1/M and k, E, kappa by M, and
+    # numpy warns of nothing.  The two agree to the spread rounding k/M leaves
+    # (5.9e-7 of |c1| at k/M = 50, where eps times the term growth is 4e-7;
+    # at most 5.5e-13 up to k/M = 6).  c2 is compared up to k/M = 10: beyond,
+    # its digits go as e^{pi k/M} grows (5e-5 at k/M = 12, all above 14), at
+    # every M alike.
+    M = float(argv[2])
+    unit = [a if a != argv[2] else "1" for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, rows, checks, _ = run_csv(argv, tmp_path, "m.csv")
+    code_1, rows_1, checks_1, _ = run_csv(unit, tmp_path, "one.csv")
+    assert code == code_1 == 0 and len(rows) == len(rows_1) > 0
+    assert len(checks) == len(checks_1) and ("passed=true" in "".join(checks)) == bool(checks)
+
+    def values(row, M):
+        """The row's numbers in units of M, each re_/im_ pair as one complex."""
+        scale = {"x": 1.0 / M, "k": M, "E": M, "kappa": M}
+        out = {c: float(v) / scale.get(c, 1.0) for c, v in row.items() if c != "side"}
+        for c in [c[3:] for c in out if c.startswith("re_")]:
+            out[c] = complex(out.pop("re_" + c), out.pop("im_" + c))
+        if out.get("k", 0.0) > 10.0:
+            del out["c2"]
+        return out
+
+    for row, row_1 in zip(rows, rows_1):
+        assert row.get("side") == row_1.get("side")
+        got, ref = values(row, M), values(row_1, 1.0)
+        assert got.keys() == ref.keys()
+        for col, value in got.items():
+            assert (cmath.isnan(value) and cmath.isnan(ref[col])
+                    or abs(value - ref[col]) <= 1e-6 * max(1.0, abs(ref[col]))), (col, value, ref[col])
 
 
 def test_bound_root_above_tol_root_exits_3(tmp_path, capsys):

@@ -28,6 +28,9 @@ from kinkdirac.oracle import integrate_heun
 from kinkdirac.soliton import (Family, SolitonBackground, SpectralPoint, build_solution, eval_u,
                                map_to_z)
 
+# The unit mass: its SpectralPoint.scattering points are the core's (E/M, k/M).
+UNIT = SolitonBackground(M=1.0, K=1.0)
+
 
 def ur1_params(M=5.0, K=5.0, k=2.5) -> HeunParams:
     E = math.sqrt(M * M + k * k)
@@ -211,11 +214,9 @@ def test_exact_heun_polynomial_stays_exact():
     # At E = 0 on the bound continuation the U1 set has q = -1, gamma = 2,
     # delta = 0: R_0 = R_1 = P_1 = 0, so Hl = 1 - z with every further
     # coefficient an exact zero, and the sum needs no cut to stay exact.
-    for M in (1.0, 5.0):
-        bg = SolitonBackground(M=M, K=M)
-        p = build_solution(Family.U1_FIRST, bg, SpectralPoint.bound(bg, 0.0)).params
-        for z in (0.1, 0.3 + 0.2j, -0.2 - 0.35j, 0.4j):
-            assert heun_series(p, z) == (1 - z, -1)
+    p = build_solution(Family.U1_FIRST, SpectralPoint.bound(0.0)).params
+    for z in (0.1, 0.3 + 0.2j, -0.2 - 0.35j, 0.4j):
+        assert heun_series(p, z) == (1 - z, -1)
 
 
 def test_generic_scattering_series_is_infinite():
@@ -302,15 +303,14 @@ def test_conjugate_parameters_give_the_conjugate_function(kind):
     # singularities, the cut [a, inf) and so the path are mirror images.
     # First- and second-solution kink sets at the matching point z = 1/2 + i/2,
     # on Python numbers and as one batch.
-    bg = SolitonBackground(M=1.0, K=1.0)
     if kind == "real":
-        sp = SpectralPoint.scattering(bg, np.array([1e-3, 0.5, 2.0, 10.0, 30.0, 50.0]))
+        sp = SpectralPoint.scattering(UNIT, np.array([1e-3, 0.5, 2.0, 10.0, 30.0, 50.0]))
     else:
-        sp = SpectralPoint.bound(bg, np.linspace(-0.99, 0.99, 6))
+        sp = SpectralPoint.bound(np.linspace(-0.99, 0.99, 6))
     names = ("q", "alpha", "beta", "gamma", "delta")
     z = 0.5 + 0.5j
     for family in Family:
-        p = build_solution(family, bg, sp).params
+        p = build_solution(family, sp).params
         cols = [np.broadcast_to(getattr(p, name), sp.k.shape) for name in names]
         h, dh = heun_eval(HeunParams(0.5, *cols), z)
         h_c, dh_c = heun_eval(HeunParams(0.5, *(np.conjugate(c) for c in cols)), z.conjugate())
@@ -330,10 +330,9 @@ def test_x_batch_equals_pointwise_evaluation(k, branch):
     # one-point path per x.  At k/M = 10 the two differ by 8e-12 at x = 0,
     # where the one-point path is 6e-12 off a 40-digit reference and the
     # chain 2e-12.
-    bg = SolitonBackground(M=1.0, K=1.0)
-    sp = SpectralPoint.scattering(bg, k, branch)
+    sp = SpectralPoint.scattering(UNIT, k, branch)
     for family in Family:
-        sol = build_solution(family, bg, sp)
+        sol = build_solution(family, sp)
         xs = np.linspace(0.0, 2.0, 33) * (1.0 if family.is_u1 else -1.0)
         u, du = eval_u(sol, xs)
         for i, x in enumerate(xs.tolist()):
@@ -344,12 +343,13 @@ def test_x_batch_equals_pointwise_evaluation(k, branch):
 
 
 def _x_batch(sol, xs, M):
-    """(x, u, u') of eval_u over the widest xs[|Mx| <= X], X = 10, 8, 6, 4,
-    that returns: near z = 1 a Taylor step may fail to converge."""
+    """(x, u, du/dy) of eval_u at y = Mx over the widest xs[|Mx| <= X],
+    X = 10, 8, 6, 4, that returns: near z = 1 a Taylor step may fail to
+    converge."""
     for X in (10.0, 8.0, 6.0, 4.0):
         x = xs[abs(M * xs) <= X]
         try:
-            return (x, *eval_u(sol, x))
+            return (x, *eval_u(sol, M * x))
         except KinkDiracError:
             pass
     return xs[:0], xs[:0], xs[:0]
@@ -363,20 +363,20 @@ def test_one_point_eval_u_equals_the_x_batch(M):
     # bound E in {0, +-M/2}, x in [-10/M, 10/M]: 1e-10 for |Mx| <= 3 and 1e-7
     # beyond, where u1_first's Hl = 1 - z at E = 0 cancels digits as z -> 1.
     # Near z = 1 either call may raise a typed error; nothing else.
-    bg = SolitonBackground(M=M, K=M)
-    points = [SpectralPoint.scattering(bg, k * M, branch)
+    # The core takes y = Mx and (E, k) in units of M.
+    points = [SpectralPoint.scattering(UNIT, k, branch)
               for k in (0.05, 0.5, 2.0, 10.0) for branch in ("positive", "negative")]
-    points += [SpectralPoint.bound(bg, E * M) for E in (0.0, 0.5, -0.5)]
+    points += [SpectralPoint.bound(E) for E in (0.0, 0.5, -0.5)]
     xs = np.linspace(-10.0, 10.0, 41) / M
     compared = 0
     for sp, family in itertools.product(points, Family):
         try:
-            sol = build_solution(family, bg, sp)
+            sol = build_solution(family, sp)
         except KinkDiracError:
             continue
         for x, u, du in zip(*_x_batch(sol, xs, M)):
             try:
-                u_x, du_x = eval_u(sol, float(x))
+                u_x, du_x = eval_u(sol, float(M * x))
             except KinkDiracError:
                 continue
             bound = (1e-10 if abs(M * x) <= 3 else 1e-7) * max(abs(u_x), abs(du_x))
@@ -387,18 +387,17 @@ def test_one_point_eval_u_equals_the_x_batch(M):
 
 @pytest.mark.parametrize("M", [1.0, 5.0])
 def test_x_batch_through_targets_tied_in_abs_z(M):
-    # Within about 1e-8 of z = 1 (here x <= -9.5/M) |z| rounds to 1.0.  The
+    # Within about 1e-8 of z = 1 (here y = Mx <= -9.5) |z| rounds to 1.0.  The
     # chain still orders those targets toward z = 1, by |1 - z|, so it never
     # runs out and back, and each target is its one-point value.
-    bg = SolitonBackground(M=M, K=M)
-    sol = build_solution(Family.U1_FIRST, bg, SpectralPoint.scattering(bg, 0.05 * M))
-    xs = np.linspace(-10.0, 10.0, 41) / M
-    assert abs(map_to_z(sol.family, bg, xs[:2])).tolist() == [1.0, 1.0]
-    u, du = eval_u(sol, xs)
-    for i, x in enumerate(xs.tolist()):
-        u_x, du_x = eval_u(sol, x)
-        scale = max(abs(u_x), abs(du_x))
-        assert abs(u[i] - u_x) <= 1e-10 * scale and abs(du[i] - du_x) <= 1e-10 * scale, x
+    sol = build_solution(Family.U1_FIRST, SpectralPoint.scattering(UNIT, 0.05))
+    ys = M * (np.linspace(-10.0, 10.0, 41) / M)
+    assert abs(map_to_z(sol.family, ys[:2])).tolist() == [1.0, 1.0]
+    u, du = eval_u(sol, ys)
+    for i, y in enumerate(ys.tolist()):
+        u_y, du_y = eval_u(sol, y)
+        scale = max(abs(u_y), abs(du_y))
+        assert abs(u[i] - u_y) <= 1e-10 * scale and abs(du[i] - du_y) <= 1e-10 * scale, y
 
 
 @pytest.mark.parametrize("M", [1.0, 5.0])
@@ -406,10 +405,9 @@ def test_one_point_zero_mode_in_closed_form(M):
     # u1_first at E = 0 is the zero mode u0 = sqrt(sech 2Mx) e^{i arctan e^{2Mx}}
     # up to a constant (test_spectrum), also one x at a time: on x < 0 its
     # z lies right of a = 1/2 and within e^{2Mx} of z = 1.
-    bg = SolitonBackground(M=M, K=M)
-    sol = build_solution(Family.U1_FIRST, bg, SpectralPoint.bound(bg, 0.0))
+    sol = build_solution(Family.U1_FIRST, SpectralPoint.bound(0.0))
     xs = np.linspace(-6.0, 6.0, 49) / M
-    u = np.array([eval_u(sol, x)[0] for x in xs.tolist()])
+    u = np.array([eval_u(sol, M * x)[0] for x in xs.tolist()])
     s = 2.0 * M * xs
     ratio = u / (np.sqrt(1.0 / np.cosh(s)) * np.exp(1j * np.arctan(np.exp(s))))
     assert np.max(abs(ratio / ratio[24] - 1.0)) <= 1e-11
@@ -464,20 +462,19 @@ def test_target_batch_chain_is_validated_as_one_path():
 
 
 def test_second_solution_is_definitional_composition():
-    # eval_u's u2_second is amp e^{ikx} z^(1-gamma) Hl[shifted](z), and its
-    # x-derivative the chain rule through dz/dx = 2K z (1 - z), at a z inside
-    # the series disk: z = 1/(1 + 7i), |z| = 0.14.
-    bg = SolitonBackground(M=5.0, K=5.0)
-    sol = build_solution(Family.U2_SECOND, bg, SpectralPoint.scattering(bg, 2.5))
-    p = uright12_params()  # gamma = 1 + 0.5i, k/K = 0.5
-    x = -math.log(7.0) / 10.0
-    z = map_to_z(Family.U2_SECOND, bg, x)
-    u, du = eval_u(sol, x)
+    # eval_u's u2_second is amp e^{iky} z^(1-gamma) Hl[shifted](z), and its
+    # y-derivative the chain rule through dz/dy = 2 z (1 - z), at a z inside
+    # the series disk: z = 1/(1 + 7i), |z| = 0.14.  In units of M.
+    sol = build_solution(Family.U2_SECOND, SpectralPoint.scattering(UNIT, 0.5))
+    p = uright12_params()  # gamma = 1 + 0.5i, k/M = 0.5
+    y = -math.log(7.0) / 2.0
+    z = map_to_z(Family.U2_SECOND, y)
+    u, du = eval_u(sol, y)
     hs, dhs = heun_series(second_solution_params(p), z)
-    w = sol.amp * cmath.exp(2.5j * x) * z ** (1 - p.gamma)
+    w = sol.amp * cmath.exp(0.5j * y) * z ** (1 - p.gamma)
     assert abs(u - w * hs) < 1e-13 * abs(u)
-    dz = 10.0 * z * (1 - z)
-    assert abs(du - (2.5j + (1 - p.gamma) * dz / z) * w * hs - w * dhs * dz) < 1e-12 * abs(du)
+    dz = 2.0 * z * (1 - z)
+    assert abs(du - (0.5j + (1 - p.gamma) * dz / z) * w * hs - w * dhs * dz) < 1e-12 * abs(du)
 
 
 def test_second_solution_shifted_accessory_parameter():
@@ -533,9 +530,8 @@ def test_batch_convergence_error_names_the_slow_element(monkeypatch):
     # either order the error names 180: the stopped element's coefficients
     # are zeroed, so they never reach inf * 0 = nan, and numpy does not warn.
     monkeypatch.undo()
-    bg = SolitonBackground(M=1.0, K=1.0)
     for ks in ([0.001, 180.0], [180.0, 0.001]):
-        sol = build_solution(Family.U1_FIRST, bg, SpectralPoint.scattering(bg, np.array(ks)))
+        sol = build_solution(Family.U1_FIRST, SpectralPoint.scattering(UNIT, np.array(ks)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ConvergenceError, match=r"^taylor_step: .*gamma=\(1-180j\)"):

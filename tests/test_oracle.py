@@ -15,7 +15,7 @@ from kinkdirac.oracle import (
     residuals,
 )
 from kinkdirac.scattering import match_coefficients, matched_u
-from kinkdirac.soliton import Family, SpectralPoint, build_solution, eval_u, v_from_u
+from kinkdirac.soliton import Family, SpectralPoint, build_solution, eval_u
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +98,13 @@ def test_integrator_convergence_is_monotone(bg5, sp25):
 
 def test_integration_from_heun_initial_data(bg5, sp25):
     # Seed the integrator with eval_u data on the transmitted side and carry
-    # it across the kink; it must land on the matched combination.
-    sol1 = build_solution(Family.U1_FIRST, bg5, sp25)
-    x0, x1 = 6.0 / bg5.K, -6.0 / bg5.K
-    u0, du0 = eval_u(sol1, x0)
-    _, u, _ = integrate_u(bg5, sp25, x0, x1, u0, du0, x_eval=[x0, x1], rel_tol=1e-12, abs_tol=1e-14)
+    # it across the kink; it must land on the matched combination.  eval_u
+    # takes y = Mx and returns du/dy.
     data = match_coefficients(bg5, sp25)
+    x0, x1 = 6.0 / bg5.K, -6.0 / bg5.K
+    u0, du0 = eval_u(data.basis[0], 6.0)
+    _, u, _ = integrate_u(bg5, sp25, x0, x1, u0, bg5.M * du0, x_eval=[x0, x1], rel_tol=1e-12,
+                          abs_tol=1e-14)
     u_exp, _ = matched_u(data, x1)
     assert abs(u[-1] - u_exp) <= 1e-6 * abs(u_exp)
 
@@ -111,13 +112,13 @@ def test_integration_from_heun_initial_data(bg5, sp25):
 def test_bound_state_decay_both_directions(bg5):
     # At the massive bound energy the u1 branch decays to the right and the
     # matched continuation decays to the left.
+    # u1 from the core, in units of M; the oracle runs in x.
     E = 4.231807015500819
-    sp = SpectralPoint.bound(bg5, E)
-    sol1 = build_solution(Family.U1_FIRST, bg5, sp)
+    sol1 = build_solution(Family.U1_FIRST, SpectralPoint.bound(E / bg5.M))
     kappa = math.sqrt(bg5.M**2 - E**2)
-    u0, du0 = eval_u(sol1, 0.5)
-    xs, u, _ = integrate_u(bg5, sp, 0.5, 2.0, u0, du0, x_eval=np.linspace(0.5, 2.0, 7),
-                           rel_tol=1e-12, abs_tol=1e-16)
+    u0, du0 = eval_u(sol1, 0.5 * bg5.M)
+    xs, u, _ = integrate_u(bg5, SpectralPoint(E=E, k=1j * kappa), 0.5, 2.0, u0, bg5.M * du0,
+                           x_eval=np.linspace(0.5, 2.0, 7), rel_tol=1e-12, abs_tol=1e-16)
     mags = np.abs(u)
     for (xa, ua), (xb, ub) in zip(zip(xs, mags), zip(xs[1:], mags[1:])):
         assert ub / ua == pytest.approx(math.exp(-kappa * (xb - xa)), rel=5e-2)
@@ -129,33 +130,31 @@ def test_bound_state_decay_both_directions(bg5):
 
 
 def _matched_grid(bg, sp, n):
-    data = match_coefficients(bg, sp)
     xs = np.linspace(-2.0, 2.0, n)
     u = np.empty(n, dtype=complex)
     v = np.empty(n, dtype=complex)
-    du = np.empty(n, dtype=complex)
+    data = match_coefficients(bg, sp)
     for i, x in enumerate(xs):
-        u[i], du[i] = matched_u(data, x)
-        v[i] = v_from_u(u[i], du[i], bg, sp, x)
-    return xs, u, du, v
+        u[i], v[i] = matched_u(data, x)
+    return xs, u, v
 
 
 def test_residuals_small_on_reference_grid(bg5, sp25):
-    xs, u, _, v = _matched_grid(bg5, sp25, 401)
+    xs, u, v = _matched_grid(bg5, sp25, 401)
     report = residuals(xs, u, v, bg5, sp25)
     assert report.max_rel_residual <= 1e-6
 
 
 def test_residuals_detect_perturbation(bg5, sp25):
-    xs, u, _, v = _matched_grid(bg5, sp25, 401)
+    xs, u, v = _matched_grid(bg5, sp25, 401)
     u_bad = u * (1.0 + 1e-3 * xs)
     report = residuals(xs, u_bad, v, bg5, sp25)
     assert report.max_rel_residual >= 1e-4
 
 
 def test_residuals_converge_under_grid_refinement(bg5, sp25):
-    xs1, u1, _, v1 = _matched_grid(bg5, sp25, 401)
-    xs2, u2, _, v2 = _matched_grid(bg5, sp25, 801)
+    xs1, u1, v1 = _matched_grid(bg5, sp25, 401)
+    xs2, u2, v2 = _matched_grid(bg5, sp25, 801)
     r1 = residuals(xs1, u1, v1, bg5, sp25).max_rel_residual
     r2 = residuals(xs2, u2, v2, bg5, sp25).max_rel_residual
     assert r2 < 2.0 * r1  # stencil truncation error must not grow on refinement

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +15,12 @@ from kinkdirac.soliton import (
     SpectralPoint,
     build_solution,
     eval_u,
+    ratio_squared,
     v_from_u,
 )
+
+# The unit mass: its SpectralPoint.scattering points are the core's (E/M, k/M).
+UNIT = SolitonBackground(M=1.0, K=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -37,22 +42,20 @@ def test_wronskian_of_plane_waves():
 
 
 def test_basis_wronskian_matches_abel_closed_form():
-    # Abel's identity applied to u'' - 4iK sech(2Kx) u' + ... = 0 gives
-    # W(x) = W(-inf) exp(int 4iK sech) with W(-inf) = -2ik e^{-pi k/K},
-    # hence W(0) = -2ik e^{-pi k/K} e^{i pi} = 2ik e^{-pi k/K}, on both energy
+    # Abel's identity applied to u'' - 4i sech(2y) u' + ... = 0 (units of M)
+    # gives W(y) = W(-inf) exp(int 4i sech) with W(-inf) = -2ik e^{-pi k},
+    # hence W(0) = -2ik e^{-pi k} e^{i pi} = 2ik e^{-pi k}, on both energy
     # branches.  It holds on the bound continuation k = i kappa too, where
     # c1_bound_indicator uses it; there the numerical W loses digits toward
     # E = 0, where u2_first degenerates.
-    bg = SolitonBackground(M=5.0, K=5.0)
-    cases = [(SpectralPoint.scattering(bg, f * bg.M, branch), 1e-10)
+    cases = [(SpectralPoint.scattering(UNIT, f, branch), 1e-10)
              for f in (1e-3, 0.1, 0.5, 1.4, 10.0) for branch in ("positive", "negative")]
-    cases += [(SpectralPoint.bound(bg, f * bg.M), 1e-9)
-              for f in (-0.95, -0.5, -0.1, 0.1, 0.5, 0.95)]
+    cases += [(SpectralPoint.bound(f), 1e-9) for f in (-0.95, -0.5, -0.1, 0.1, 0.5, 0.95)]
     for sp, rel in cases:
-        s2 = build_solution(Family.U2_FIRST, bg, sp)
-        s2b = build_solution(Family.U2_SECOND, bg, sp)
+        s2 = build_solution(Family.U2_FIRST, sp)
+        s2b = build_solution(Family.U2_SECOND, sp)
         w = wronskian(eval_u(s2, 0.0), eval_u(s2b, 0.0))
-        expected = 2j * sp.k * cmath.exp(-math.pi * sp.k / bg.K)
+        expected = 2j * sp.k * cmath.exp(-math.pi * sp.k)
         assert abs(w - expected) < rel * abs(expected), (sp, w, expected)
 
 
@@ -63,9 +66,7 @@ def test_basis_wronskian_matches_abel_closed_form():
 
 def test_matching_reproduces_u1_at_matching_point(bg5, sp25):
     data = match_coefficients(bg5, sp25)
-    sol1 = build_solution(Family.U1_FIRST, bg5, sp25)
-    sol2 = build_solution(Family.U2_FIRST, bg5, sp25)
-    sol2b = build_solution(Family.U2_SECOND, bg5, sp25)
+    sol1, sol2, sol2b = data.basis
     u1, du1 = eval_u(sol1, 0.0)
     u2, du2 = eval_u(sol2, 0.0)
     u2b, du2b = eval_u(sol2b, 0.0)
@@ -75,13 +76,11 @@ def test_matching_reproduces_u1_at_matching_point(bg5, sp25):
 
 def test_matched_families_agree_on_extended_overlap(bg5, sp25):
     data = match_coefficients(bg5, sp25)
-    sol1 = build_solution(Family.U1_FIRST, bg5, sp25)
-    sol2 = build_solution(Family.U2_FIRST, bg5, sp25)
-    sol2b = build_solution(Family.U2_SECOND, bg5, sp25)
-    for x in np.linspace(-0.1, 0.1, 9):
-        u1, _ = eval_u(sol1, x)
-        u2, _ = eval_u(sol2, x)
-        u2b, _ = eval_u(sol2b, x)
+    sol1, sol2, sol2b = data.basis
+    for y in np.linspace(-0.5, 0.5, 9):
+        u1, _ = eval_u(sol1, y)
+        u2, _ = eval_u(sol2, y)
+        u2b, _ = eval_u(sol2b, y)
         assert abs(data.c1 * u2 + data.c2 * u2b - u1) <= 1e-6 * abs(u1)
 
 
@@ -160,61 +159,64 @@ def test_degenerate_basis_message_names_threshold_used(bg5):
 
 def test_matched_u_continuous_at_origin(bg5, sp25):
     data = match_coefficients(bg5, sp25)
-    left, dleft = matched_u(data, -1e-9)
-    right, dright = matched_u(data, 1e-9)
+    left, vleft = matched_u(data, -1e-9)
+    right, vright = matched_u(data, 1e-9)
     assert abs(left - right) < 1e-6 * abs(left)
-    assert abs(dleft - dright) < 1e-6 * abs(dleft)
+    assert abs(vleft - vright) < 1e-6 * abs(vleft)
 
 
 def test_reflected_spinor_ratio(bg5, sp25):
     # Splitting the incident-side solution into e^{ikx} and e^{-ikx} parts,
     # the lower components satisfy
     # (v_ref / v_in) / (u_ref / u_in) -> (E - k) / (E + k) as x -> -inf.
-    k, E = 2.5, sp25.E
-    s = -30.0
-    x = s / (2 * bg5.K)
+    # In units of M, at y = Mx = -15.
     data = match_coefficients(bg5, sp25)
-    sol2 = build_solution(Family.U2_FIRST, bg5, sp25)
-    sol2b = build_solution(Family.U2_SECOND, bg5, sp25)
-    u_in, du_in = eval_u(sol2, x)
-    u_rf, du_rf = eval_u(sol2b, x)
-    v_in = v_from_u(u_in, du_in, bg5, sp25, x)
-    v_rf = v_from_u(u_rf, du_rf, bg5, sp25, x)
+    _, sol2, sol2b = data.basis
+    sp = sol2.spectral
+    k, E, y = sp.k, sp.E, -15.0
+    u_in, du_in = eval_u(sol2, y)
+    u_rf, du_rf = eval_u(sol2b, y)
+    v_in = v_from_u(u_in, du_in, sp, y)
+    v_rf = v_from_u(u_rf, du_rf, sp, y)
     ratio = (data.c2 * v_rf / (data.c1 * v_in)) / (data.c2 * u_rf / (data.c1 * u_in))
     assert abs(ratio - (E - k) / (E + k)) < 1e-4
     # And each piece individually approaches its free-spinor ratio.
-    assert abs(v_in / u_in - 1j * (E + k) / bg5.M) < 1e-4
-    assert abs(v_rf / u_rf - 1j * (E - k) / bg5.M) < 1e-4
+    assert abs(v_in / u_in - 1j * (E + k)) < 1e-4
+    assert abs(v_rf / u_rf - 1j * (E - k)) < 1e-4
 
 
 def test_matched_u_equals_components(bg5, sp25):
-    # matched_u evaluates the basis match_coefficients kept: u1 on the
-    # transmitted side, c1 u2 + c2 u2b on the incident side.
+    # matched_u evaluates the basis match_coefficients kept, at y = Mx: u1 on
+    # the transmitted side, c1 u2 + c2 u2b on the incident side, and v from
+    # (u, du/dy).
     data = match_coefficients(bg5, sp25)
     sol1, sol2, sol2b = data.basis
+    sp = sol1.spectral
     assert [s.family for s in data.basis] == [Family.U1_FIRST, Family.U2_FIRST, Family.U2_SECOND]
-    assert matched_u(data, 0.4) == eval_u(sol1, 0.4)
-    (ua, dua), (ub, dub) = eval_u(sol2, -0.7), eval_u(sol2b, -0.7)
-    u, du = matched_u(data, -0.7)
-    assert u == data.c1 * ua + data.c2 * ub and du == data.c1 * dua + data.c2 * dub
-    assert abs(v_from_u(u, du, bg5, sp25, -0.7)) > 0
+    assert matched_u(data, 0.4) == (eval_u(sol1, 2.0)[0], v_from_u(*eval_u(sol1, 2.0), sp, 2.0))
+    (ua, dua), (ub, dub) = eval_u(sol2, -3.5), eval_u(sol2b, -3.5)
+    u, v = matched_u(data, -0.7)
+    assert u == data.c1 * ua + data.c2 * ub
+    assert v == v_from_u(u, data.c1 * dua + data.c2 * dub, sp, -3.5) and abs(v) > 0
 
 
 @pytest.mark.parametrize("K", [5.0, -5.0])
 def test_matched_u_continuous_at_nonzero_matching_point(K):
-    # Matched at x0 = 0.1/|K|, u and u' agree across x0 once the smooth change
-    # over 2 eps (u' and u'' from the governing equation, O(eps^2) left) is
-    # taken out.
+    # Matched at x0 = 0.1/|K|, u and v agree across x0 once the smooth change
+    # over 2 eps (u' and v' from the Dirac system, O(eps^2) left) is taken out:
+    # u' = -i E u + M v / r2 and v' = i E v + M r2 u, with r2 = -e^{2i beta phi}
+    # the kink's ratio_squared at Kx.
     bg = SolitonBackground(M=5.0, K=K)
     sp = SpectralPoint.scattering(bg, 2.5)
     x0, eps = 0.1 / abs(K), 1e-9
     data = match_coefficients(bg, sp, x0=x0)
-    uL, duL = matched_u(data, x0 - eps)
-    uR, duR = matched_u(data, x0 + eps)
-    sech = 1.0 / math.cosh(2.0 * K * (x0 - eps))
-    dduL = 4j * K * sech * duL - (sp.E ** 2 - bg.M ** 2 + 4.0 * sp.E * K * sech) * uL
+    uL, vL = matched_u(data, x0 - eps)
+    uR, vR = matched_u(data, x0 + eps)
+    r2 = ratio_squared(K * (x0 - eps))
+    duL = -1j * sp.E * uL + bg.M * vL / r2
+    dvL = 1j * sp.E * vL + bg.M * r2 * uL
     assert abs(uR - (uL + 2 * eps * duL)) <= 1e-9 * abs(uR)
-    assert abs(duR - (duL + 2 * eps * dduL)) <= 1e-9 * abs(duR)
+    assert abs(vR - (vL + 2 * eps * dvL)) <= 1e-9 * abs(vR)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +257,9 @@ def test_sweep_rejects_a_phase_beyond_three_quarters_pi(K, monkeypatch):
     bg = SolitonBackground(M=5.0, K=K)
     match = scattering._match
 
-    def at_pi(bg, sp, x0):
-        data = match(bg, sp, x0)
-        return dataclasses.replace(data, delta=np.where(sp.k.real > 10.0, math.pi, data.delta))
+    def at_pi(sp, y0):  # the kink's match, in units of M
+        data = match(sp, y0)
+        return dataclasses.replace(data, delta=np.where(sp.k.real > 2.0, math.pi, data.delta))
 
     monkeypatch.setattr(scattering, "_match", at_pi)
     with pytest.raises(KinkDiracError, match=r"^sweep: \|delta\| = 3\.14 exceeds 3 pi/4 at "
@@ -315,9 +317,10 @@ def test_batched_match_equals_per_family_evaluation(M, branch, monkeypatch):
     bg = SolitonBackground(M=M, K=M)
     ks = np.array(log_grid(1e-3 * M, 50.0 * M, 256))
     sp = SpectralPoint.scattering(bg, ks, branch)
-    joint = _match(bg, sp, 0.0)
+    sp = SpectralPoint(E=sp.E / M, k=ks / M)
+    joint = _match(sp, 0.0)
     monkeypatch.setattr(scattering, "eval_u_at_origin", lambda *sols: [eval_u(s, 0.0) for s in sols])
-    alone = _match(bg, sp, 0.0)
+    alone = _match(sp, 0.0)
     for name in ("c1", "c2", "t", "r", "delta"):
         assert np.array_equal(getattr(joint, name), getattr(alone, name)), name
     assert np.max(abs(abs(joint.t) ** 2 + abs(joint.r) ** 2 - 1.0)) <= 1e-8
@@ -329,11 +332,11 @@ def test_batched_match_agrees_with_one_point_match(M, branch):
     # A batch runs its Taylor steps in blocks of terms, one point on Python
     # numbers, with different rounding: over the default sweep grid they
     # agree to rounding, which term growth amplifies above k/M = 30.
-    from kinkdirac.scattering import _match, log_grid
+    from kinkdirac.scattering import log_grid
 
     bg = SolitonBackground(M=M, K=M)
     ks = log_grid(1e-3 * M, 50.0 * M, 64)
-    batch = _match(bg, SpectralPoint.scattering(bg, np.array(ks), branch), 0.0)
+    batch = sweep(bg, ks, branch)[1]
     for i, k in enumerate(ks):
         one = match_coefficients(bg, SpectralPoint.scattering(bg, k, branch))
         bound = 1e-11 if k < 30.0 * M else 1e-8
@@ -350,9 +353,41 @@ def test_match_element_alone_equals_its_batch_value(branch):
     # width, so no element's rounding depends on when its batch mates stop.
     from kinkdirac.scattering import _match, log_grid
 
-    bg = SolitonBackground(M=1.0, K=1.0)
-    sp = SpectralPoint.scattering(bg, np.array(log_grid(1e-3, 50.0, 256)), branch)
-    batch = _match(bg, sp, 0.0)
+    sp = SpectralPoint.scattering(UNIT, np.array(log_grid(1e-3, 50.0, 256)), branch)
+    batch = _match(sp, 0.0)
     for i in range(sp.k.size):
-        one = _match(bg, SpectralPoint(E=sp.E[i:i + 1], k=sp.k[i:i + 1]), 0.0)
+        one = _match(SpectralPoint(E=sp.E[i:i + 1], k=sp.k[i:i + 1]), 0.0)
         assert one.c1[0] == batch.c1[i] and one.c2[0] == batch.c2[i], sp.k[i]
+
+
+@pytest.mark.parametrize("j", [-1000, -20, 0, 3, 1000])
+def test_mass_is_a_unit(j):
+    # The core solves in units of M, and M = 2^j scales exactly, so every
+    # dimensionless output at M = 2^j is the M = 1 output bit for bit, out to
+    # M = 2^+-1000, where M^2 would under- or overflow: sweeps and one-point
+    # matches on both signs and both branches, and E_n/M and kappa/M.  Only a
+    # level whose E_n is below the smallest normal double (the zero mode at
+    # M = 2^-1000) keeps fewer bits.
+    from kinkdirac.scattering import log_grid
+    from kinkdirac.spectrum import find_bound_states
+
+    M = math.ldexp(1.0, j)
+    ks = log_grid(1e-3, 50.0, 16)
+    names = ("c1", "c2", "t", "r", "delta")
+    for sign in (1.0, -1.0):
+        bg, unit = SolitonBackground(M=M, K=sign * M), SolitonBackground(M=1.0, K=sign)
+        for branch in ("positive", "negative"):
+            scaled, ref = sweep(bg, [M * k for k in ks], branch)[1], sweep(unit, ks, branch)[1]
+            for name in names:
+                assert np.array_equal(getattr(scaled, name), getattr(ref, name)), (sign, branch, name)
+            for k in (0.3, 2.0, 8.0):
+                one = match_coefficients(bg, SpectralPoint.scattering(bg, M * k, branch))
+                ref = match_coefficients(unit, SpectralPoint.scattering(unit, k, branch))
+                assert [getattr(one, n) for n in names] == [getattr(ref, n) for n in names]
+        levels, ref = find_bound_states(bg), find_bound_states(unit)
+        assert [(b.kappa / M, b.residual) for b in levels] == [(b.kappa, b.residual) for b in ref]
+        for b, b_ref in zip(levels, ref):
+            if abs(b.E_n) >= sys.float_info.min:
+                assert b.E_n / M == b_ref.E_n
+            else:
+                assert abs(b.E_n / M - b_ref.E_n) <= math.ldexp(1.0, -1074) / M
